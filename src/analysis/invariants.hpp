@@ -46,18 +46,13 @@ template <EngineLike E, std::invocable<const Counts&> Inspect>
 std::uint64_t inspect_trajectory(E& engine, Xoshiro256ss& rng,
                                  std::uint64_t max_interactions,
                                  std::uint64_t stride, Inspect&& inspect) {
-  inspect(engine.counts());
-  std::uint64_t last_inspection = engine.steps();
-  while (engine.steps() < max_interactions && !engine.all_same_output()) {
-    const std::uint64_t before = engine.steps();
-    engine.step(rng);
-    if (engine.steps() == before) break;  // absorbing (skip engine)
-    if (engine.steps() - last_inspection >= stride) {
-      inspect(engine.counts());
-      last_inspection = engine.steps();
-    }
-  }
-  inspect(engine.counts());
+  const auto inspect_engine = [&] {
+    inspect(engine.counts());
+    return false;
+  };
+  run_to_convergence_interruptible(engine, rng, max_interactions,
+                                   inspect_engine, stride);
+  inspect_engine();
   return engine.steps();
 }
 

@@ -12,8 +12,8 @@
 
 #include "graph/graph_concept.hpp"
 #include "graph/interaction_graph.hpp"
-#include "obs/probe.hpp"
 #include "population/configuration.hpp"
+#include "population/engine_core.hpp"
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
@@ -25,7 +25,10 @@ namespace popbean {
 // type, e.g. the rate-weighted WeightedInteractionGraph of [DV12]'s
 // general-rates model.
 template <ProtocolLike P, GraphLike G = InteractionGraph>
-class AgentEngine {
+class AgentEngine : public EngineCore<AgentEngine<P, G>, P> {
+  using Core = EngineCore<AgentEngine<P, G>, P>;
+  friend Core;
+
  public:
   // Complete-graph engine; agents are created per `counts` (state order).
   AgentEngine(P protocol, const Counts& counts)
@@ -38,15 +41,11 @@ class AgentEngine {
   // nodes in state order; call shuffle_placement() for a random assignment
   // (placement matters on non-complete graphs).
   AgentEngine(P protocol, const Counts& counts, G graph)
-      : protocol_(std::move(protocol)), graph_(std::move(graph)) {
-    POPBEAN_CHECK(counts.size() == protocol_.num_states());
-    const std::uint64_t n = population_size(counts);
-    POPBEAN_CHECK(n >= 2);
-    POPBEAN_CHECK(graph_.num_nodes() == n);
-    agents_.reserve(n);
+      : Core(std::move(protocol), counts), graph_(std::move(graph)) {
+    POPBEAN_CHECK(graph_.num_nodes() == this->num_agents_);
+    agents_.reserve(this->num_agents_);
     for (State q = 0; q < counts.size(); ++q) {
-      for (std::uint64_t k = 0; k < counts[q]; ++k) agents_.push_back(q);
-      out_count_[index(protocol_.output(q))] += counts[q];
+      agents_.insert(agents_.end(), counts[q], q);
     }
   }
 
@@ -57,13 +56,7 @@ class AgentEngine {
     }
   }
 
-  const P& protocol() const noexcept { return protocol_; }
   const G& graph() const noexcept { return graph_; }
-  std::uint64_t num_agents() const noexcept { return agents_.size(); }
-  std::uint64_t steps() const noexcept { return steps_; }
-  double parallel_time() const noexcept {
-    return static_cast<double>(steps_) / static_cast<double>(num_agents());
-  }
 
   State state_of(NodeId node) const {
     POPBEAN_CHECK(node < agents_.size());
@@ -71,60 +64,19 @@ class AgentEngine {
   }
 
   Counts counts() const {
-    Counts c(protocol_.num_states(), 0);
+    Counts c(this->protocol_.num_states(), 0);
     for (State q : agents_) ++c[q];
     return c;
   }
 
-  std::uint64_t output_agents(Output output) const noexcept {
-    return out_count_[index(output)];
-  }
-
-  // Attaches an interaction probe (src/obs); pass nullptr to detach. The
-  // probe must outlive the engine or be detached first. Recording compiles
-  // out entirely when POPBEAN_OBS_ENABLED=0.
-  void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
-
-  bool all_same_output() const noexcept {
-    return out_count_[0] == 0 || out_count_[1] == 0;
-  }
-
-  // The output held by the larger camp (the unanimous one when converged).
-  Output dominant_output() const noexcept {
-    return out_count_[1] >= out_count_[0] ? 1 : 0;
-  }
-
-  // External-perturbation hook (src/faults/): moves one uniformly random
-  // agent of state `from` to state `to`, outside the protocol's transition
-  // function. Does not count as an interaction. O(n) — fault injection is
-  // rare relative to stepping.
-  void force_move(State from, State to, Xoshiro256ss& rng) {
-    POPBEAN_CHECK(from < protocol_.num_states());
-    POPBEAN_CHECK(to < protocol_.num_states());
-    if (from == to) return;
-    std::uint64_t holders = 0;
-    for (State q : agents_) holders += (q == from) ? 1 : 0;
-    POPBEAN_CHECK_MSG(holders > 0, "force_move: no agent holds `from` state");
-    std::uint64_t target = rng.below(holders);
-    for (State& q : agents_) {
-      if (q != from) continue;
-      if (target == 0) {
-        q = to;
-        move_output(from, to);
-        return;
-      }
-      --target;
-    }
-  }
-
   // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes the mutable run state (agent array, step count, output
-  // bookkeeping). The protocol and graph are construction inputs, not saved:
-  // restore into an engine built with identical arguments.
+  // Serializes the mutable run state (agent array, step count). The protocol
+  // and graph are construction inputs, not saved: restore into an engine
+  // built with identical arguments.
   static constexpr std::string_view kSnapshotKind = "engine/agent";
 
   void save_state(BinaryWriter& out) const {
-    out.u64(steps_);
+    out.u64(this->steps_);
     out.u64(agents_.size());
     for (const State q : agents_) out.u32(q);
   }
@@ -135,17 +87,14 @@ class AgentEngine {
     POPBEAN_CHECK_MSG(n == agents_.size(),
                       "snapshot population size does not match this engine");
     std::vector<State> agents(agents_.size());
-    std::uint64_t out_count[2] = {0, 0};
     for (State& q : agents) {
       q = in.u32();
-      POPBEAN_CHECK_MSG(q < protocol_.num_states(),
+      POPBEAN_CHECK_MSG(q < this->protocol_.num_states(),
                         "snapshot agent state out of range");
-      ++out_count[index(protocol_.output(q))];
     }
     agents_ = std::move(agents);
-    steps_ = steps;
-    out_count_[0] = out_count[0];
-    out_count_[1] = out_count[1];
+    this->steps_ = steps;
+    this->count_outputs(counts());
   }
 
   // Executes one interaction: draws a uniformly random directed edge and
@@ -154,19 +103,16 @@ class AgentEngine {
     const auto [u, v] = graph_.sample_directed_edge(rng);
     const State a = agents_[u];
     const State b = agents_[v];
-    const Transition t = protocol_.apply(a, b);
+    const Transition t = this->protocol_.apply(a, b);
     const bool null = is_null(t, a, b);
     if (!null) {
-      move_output(a, t.initiator);
-      move_output(b, t.responder);
+      this->move_output(a, t.initiator);
+      this->move_output(b, t.responder);
       agents_[u] = t.initiator;
       agents_[v] = t.responder;
     }
-    POPBEAN_OBS_HOOK(if (probe_ != nullptr) {
-      probe_->record(null ? obs::ReactionKind::kNull
-                          : obs::classify_interaction(protocol_, a, b));
-    })
-    ++steps_;
+    this->record(a, b, null);
+    ++this->steps_;
   }
 
  private:
@@ -178,25 +124,25 @@ class AgentEngine {
     return n;
   }
 
-  static constexpr std::size_t index(Output o) noexcept {
-    return o == 0 ? 0 : 1;
-  }
-
-  void move_output(State from, State to) noexcept {
-    const Output before = protocol_.output(from);
-    const Output after = protocol_.output(to);
-    if (before != after) {
-      --out_count_[index(before)];
-      ++out_count_[index(after)];
+  // force_move's step: picks the target uniformly among the holders of
+  // `from`. O(n) — fault injection is rare relative to stepping.
+  void move_agent(State from, State to, Xoshiro256ss& rng) {
+    std::uint64_t holders = 0;
+    for (State q : agents_) holders += (q == from) ? 1 : 0;
+    POPBEAN_CHECK_MSG(holders > 0, "force_move: no agent holds `from` state");
+    std::uint64_t target = rng.below(holders);
+    for (State& q : agents_) {
+      if (q != from) continue;
+      if (target == 0) {
+        q = to;
+        return;
+      }
+      --target;
     }
   }
 
-  P protocol_;
   G graph_;
   std::vector<State> agents_;
-  obs::EngineProbe* probe_ = nullptr;
-  std::uint64_t steps_ = 0;
-  std::uint64_t out_count_[2] = {0, 0};
 };
 
 }  // namespace popbean

@@ -43,74 +43,53 @@ struct RunResult {
 // predicate for every protocol in this library (paper Lemma A.1 for AVC;
 // convergence_test.cpp checks the baselines), so stopping there matches the
 // paper's convergence-time metric.
-template <EngineLike E>
-RunResult run_to_convergence(
-    E& engine, Xoshiro256ss& rng,
-    std::uint64_t max_interactions = std::numeric_limits<std::uint64_t>::max()) {
-  RunResult result;
-  while (!engine.all_same_output()) {
-    if (engine.steps() >= max_interactions) {
-      result.status = RunStatus::kStepLimit;
-      result.interactions = engine.steps();
-      result.parallel_time = engine.parallel_time();
-      return result;
-    }
-    const std::uint64_t before = engine.steps();
-    engine.step(rng);
-    if (engine.steps() == before) {  // skip engine hit an absorbing config
-      result.status = RunStatus::kAbsorbing;
-      result.interactions = engine.steps();
-      result.parallel_time = engine.parallel_time();
-      return result;
-    }
-  }
-  result.status = RunStatus::kConverged;
-  result.decided = engine.dominant_output();
-  result.interactions = engine.steps();
-  result.parallel_time = engine.parallel_time();
-  return result;
-}
-
-// run_to_convergence with cooperative cancellation: `should_stop` is polled
-// every `poll_interval` interactions (and before the first), and a true
-// return abandons the run with std::nullopt — the engine is left mid-run and
-// the caller decides whether to retry, checkpoint, or drop it. A completed
-// run is bit-identical to run_to_convergence with the same inputs: polling
-// touches no randomness. This is what gives the crash-tolerant sweep its
-// per-replication timeouts and SIGINT draining without perturbing results.
+//
+// `should_stop` is the loop's stride hook: it is called before the first
+// step and after each step that takes the interaction clock `poll_interval`
+// or more past its previous call. A true return abandons the run with
+// std::nullopt — the engine is left mid-run and the caller decides whether
+// to retry, checkpoint, or drop it. A completed run is bit-identical to
+// run_to_convergence with the same inputs: the hook touches no randomness.
+// This gives the crash-tolerant sweep its per-replication timeouts and SIGINT
+// draining, and TraceRecorder its sample points.
 template <EngineLike E, typename StopFn>
 std::optional<RunResult> run_to_convergence_interruptible(
     E& engine, Xoshiro256ss& rng, std::uint64_t max_interactions,
     StopFn&& should_stop, std::uint64_t poll_interval = 1024) {
   if (poll_interval == 0) poll_interval = 1;
+  if (should_stop()) return std::nullopt;
+  std::uint64_t next_poll = engine.steps() + poll_interval;
   RunResult result;
-  std::uint64_t until_poll = 0;
+  result.status = RunStatus::kConverged;
   while (!engine.all_same_output()) {
-    if (until_poll == 0) {
-      if (should_stop()) return std::nullopt;
-      until_poll = poll_interval;
-    }
-    --until_poll;
     if (engine.steps() >= max_interactions) {
       result.status = RunStatus::kStepLimit;
-      result.interactions = engine.steps();
-      result.parallel_time = engine.parallel_time();
-      return result;
+      break;
     }
     const std::uint64_t before = engine.steps();
     engine.step(rng);
     if (engine.steps() == before) {  // skip engine hit an absorbing config
       result.status = RunStatus::kAbsorbing;
-      result.interactions = engine.steps();
-      result.parallel_time = engine.parallel_time();
-      return result;
+      break;
+    }
+    if (engine.steps() >= next_poll) {
+      if (should_stop()) return std::nullopt;
+      next_poll = engine.steps() + poll_interval;
     }
   }
-  result.status = RunStatus::kConverged;
-  result.decided = engine.dominant_output();
+  if (result.converged()) result.decided = engine.dominant_output();
   result.interactions = engine.steps();
   result.parallel_time = engine.parallel_time();
   return result;
+}
+
+// The uninterruptible run: the never-stop hook compiles away.
+template <EngineLike E>
+RunResult run_to_convergence(
+    E& engine, Xoshiro256ss& rng,
+    std::uint64_t max_interactions = std::numeric_limits<std::uint64_t>::max()) {
+  return *run_to_convergence_interruptible(engine, rng, max_interactions,
+                                           [] { return false; });
 }
 
 }  // namespace popbean

@@ -3,7 +3,7 @@
 // For protocols with few states, most late-run interactions are null: they
 // pick a pair whose transition changes nothing. The paper's Figure 3 runs
 // the four-state protocol at ε = 1/n with n = 10^5, which needs ~10^11 raw
-// interactions but only ~10^6 *productive* ones. This engine samples the
+// interactions but only ~10^6 *productive* ones. This sampler draws the
 // embedded chain exactly:
 //
 //   1. With W = Σ over reactive ordered state pairs (i, j) of c_i·(c_j − [i=j])
@@ -22,11 +22,10 @@
 
 #include <cstdint>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "obs/probe.hpp"
 #include "population/configuration.hpp"
+#include "population/count_engine.hpp"
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
@@ -34,243 +33,149 @@
 
 namespace popbean {
 
-template <ProtocolLike P>
-class SkipEngine {
+// Jump-chain pair sampler: skips the pending run of null interactions and
+// draws the next productive ordered pair, or marks the configuration
+// absorbing when there is none.
+class JumpChainSampler {
  public:
   // Largest supported state count; the δ table is s² entries.
   static constexpr std::size_t kMaxStates = 1024;
+  static constexpr std::string_view kSnapshotKind = "engine/skip";
 
-  SkipEngine(P protocol, const Counts& counts)
-      : protocol_(std::move(protocol)),
-        num_states_(protocol_.num_states()),
-        counts_(counts) {
-    POPBEAN_CHECK(counts_.size() == num_states_);
+  template <ProtocolLike P>
+  JumpChainSampler(const P& protocol, const Counts& counts)
+      : num_states_(protocol.num_states()) {
     POPBEAN_CHECK_MSG(num_states_ <= kMaxStates,
                       "SkipEngine tabulates s^2 transitions; use CountEngine "
                       "for protocols with many states");
-    num_agents_ = population_size(counts_);
-    POPBEAN_CHECK(num_agents_ >= 2);
-
     table_.resize(num_states_ * num_states_);
     reactive_.resize(num_states_ * num_states_);
     rows_by_responder_.resize(num_states_);
     for (State a = 0; a < num_states_; ++a) {
       for (State b = 0; b < num_states_; ++b) {
-        const Transition t = protocol_.apply(a, b);
+        const Transition t = protocol.apply(a, b);
         table_[cell(a, b)] = t;
         reactive_[cell(a, b)] = !is_null(t, a, b);
         if (reactive_[cell(a, b)]) rows_by_responder_[b].push_back(a);
       }
     }
-
-    responder_sum_.assign(num_states_, 0);
-    for (State i = 0; i < num_states_; ++i) {
-      for (State j = 0; j < num_states_; ++j) {
-        if (reactive_[cell(i, j)]) responder_sum_[i] += counts_[j];
-      }
-    }
-    for (State q = 0; q < num_states_; ++q) {
-      out_count_[index(protocol_.output(q))] += counts_[q];
-    }
-  }
-
-  const P& protocol() const noexcept { return protocol_; }
-  std::uint64_t num_agents() const noexcept { return num_agents_; }
-  std::uint64_t steps() const noexcept { return steps_; }
-  double parallel_time() const noexcept {
-    return static_cast<double>(steps_) / static_cast<double>(num_agents_);
-  }
-  const Counts& counts() const noexcept { return counts_; }
-
-  std::uint64_t output_agents(Output output) const noexcept {
-    return out_count_[index(output)];
-  }
-
-  bool all_same_output() const noexcept {
-    return out_count_[0] == 0 || out_count_[1] == 0;
-  }
-
-  Output dominant_output() const noexcept {
-    return out_count_[1] >= out_count_[0] ? 1 : 0;
-  }
-
-  // Attaches an interaction probe (src/obs); pass nullptr to detach. The
-  // probe must outlive the engine or be detached first. Skipped null runs
-  // are bulk-recorded, so the probe's interaction total still matches
-  // steps(). Recording compiles out entirely when POPBEAN_OBS_ENABLED=0.
-  void attach_probe(obs::EngineProbe* probe) noexcept {
-    probe_ = probe;
-    POPBEAN_OBS_HOOK(if (probe_ != nullptr && kind_table_.empty()) {
-      kind_table_.resize(num_states_ * num_states_, obs::ReactionKind::kNull);
-      for (State a = 0; a < num_states_; ++a) {
-        for (State b = 0; b < num_states_; ++b) {
-          if (reactive_[cell(a, b)]) {
-            kind_table_[cell(a, b)] =
-                obs::classify_interaction(protocol_, a, b);
-          }
-        }
-      }
-    })
+    sum_responders(counts);
   }
 
   // True once no productive interaction is possible (the configuration is
-  // absorbing); step() becomes a no-op.
+  // absorbing); step() is then a no-op until a force_move changes the
+  // configuration.
   bool absorbing() const noexcept { return absorbing_; }
 
-  // Total weight of productive ordered agent pairs in the current
-  // configuration (0 ⇔ absorbing).
-  std::uint64_t reactive_weight() const {
+  // Total weight of productive ordered agent pairs in `counts` (0 ⇔
+  // absorbing).
+  std::uint64_t reactive_weight(const Counts& counts) const {
     std::uint64_t total = 0;
-    for (State i = 0; i < num_states_; ++i) total += row_weight(i);
+    for (State i = 0; i < num_states_; ++i) total += row_weight(counts, i);
     return total;
   }
 
-  // External-perturbation hook (src/faults/): moves one agent of state
-  // `from` to state `to`, outside the protocol's transition function. An
-  // injected state can re-enable reactions in an absorbed configuration, so
-  // the absorbing flag is cleared and re-derived on the next step().
-  void force_move(State from, State to, Xoshiro256ss&) {
-    POPBEAN_CHECK(from < num_states_);
-    POPBEAN_CHECK(to < num_states_);
-    if (from == to) return;
-    POPBEAN_CHECK_MSG(counts_[from] > 0,
-                      "force_move: no agent holds `from` state");
-    adjust(from, -1);
-    adjust(to, +1);
-    move_output(from, to);
-    absorbing_ = false;
-  }
-
-  // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes counts, step count, and the absorbing flag; the δ table and
-  // responder sums are derived state, rebuilt on load.
-  static constexpr std::string_view kSnapshotKind = "engine/skip";
-
-  void save_state(BinaryWriter& out) const {
-    out.u64(steps_);
-    out.u8(absorbing_ ? 1 : 0);
-    out.vec_u64(counts_);
-  }
-
-  void load_state(BinaryReader& in) {
-    const std::uint64_t steps = in.u64();
-    const std::uint8_t absorbing = in.u8();
-    POPBEAN_CHECK_MSG(absorbing <= 1, "snapshot absorbing flag corrupt");
-    Counts counts = in.vec_u64();
-    POPBEAN_CHECK_MSG(counts.size() == num_states_,
-                      "snapshot state count does not match the protocol");
-    POPBEAN_CHECK_MSG(population_size(counts) == num_agents_,
-                      "snapshot population size does not match this engine");
-    counts_ = std::move(counts);
-    steps_ = steps;
-    absorbing_ = absorbing != 0;
-    responder_sum_.assign(num_states_, 0);
-    for (State i = 0; i < num_states_; ++i) {
-      for (State j = 0; j < num_states_; ++j) {
-        if (reactive_[cell(i, j)]) responder_sum_[i] += counts_[j];
-      }
-    }
-    out_count_[0] = 0;
-    out_count_[1] = 0;
-    for (State q = 0; q < num_states_; ++q) {
-      out_count_[index(protocol_.output(q))] += counts_[q];
-    }
-  }
-
-  // Advances time past the pending run of null interactions and executes the
-  // next productive interaction (or marks the configuration absorbing).
-  void step(Xoshiro256ss& rng) {
-    if (absorbing_) return;
-    const std::uint64_t weight = reactive_weight();
+  template <ProtocolLike P>
+  bool draw(const P&, const Counts& counts, std::uint64_t n,
+            Xoshiro256ss& rng, PairDraw& out) {
+    if (absorbing_) return false;
+    const std::uint64_t weight = reactive_weight(counts);
     if (weight == 0) {
       absorbing_ = true;
-      return;
+      return false;
     }
-    const double total_pairs = static_cast<double>(num_agents_) *
-                               static_cast<double>(num_agents_ - 1);
+    const double total_pairs =
+        static_cast<double>(n) * static_cast<double>(n - 1);
     const double p = static_cast<double>(weight) / total_pairs;
-    const std::uint64_t skipped = rng.geometric_failures(p);
-    steps_ += skipped + 1;
-    POPBEAN_OBS_HOOK(
-        if (probe_ != nullptr) { probe_->record_nulls(skipped); })
+    out.nulls_before = rng.geometric_failures(p);
 
     // Pick the productive ordered pair ∝ c_i · (c_j − [i = j]).
     std::uint64_t target = rng.below(weight);
     State i = 0;
     for (;; ++i) {
       POPBEAN_DCHECK(i < num_states_);
-      const std::uint64_t w = row_weight(i);
+      const std::uint64_t w = row_weight(counts, i);
       if (target < w) break;
       target -= w;
     }
-    POPBEAN_DCHECK(counts_[i] > 0);
-    target /= counts_[i];  // responder choice repeats identically per initiator
+    POPBEAN_DCHECK(counts[i] > 0);
+    target /= counts[i];  // responder choice repeats identically per initiator
     State j = 0;
     for (;; ++j) {
       POPBEAN_DCHECK(j < num_states_);
       if (!reactive_[cell(i, j)]) continue;
-      const std::uint64_t w = counts_[j] - (i == j ? 1 : 0);
+      const std::uint64_t w = counts[j] - (i == j ? 1 : 0);
       if (target < w) break;
       target -= w;
     }
+    out.initiator = i;
+    out.responder = j;
+    out.transition = table_[cell(i, j)];
+    return true;
+  }
 
-    const Transition t = table_[cell(i, j)];
-    adjust(i, -1);
-    adjust(j, -1);
-    adjust(t.initiator, +1);
-    adjust(t.responder, +1);
-    move_output(i, t.initiator);
-    move_output(j, t.responder);
-    POPBEAN_OBS_HOOK(
-        if (probe_ != nullptr) { probe_->record(kind_table_[cell(i, j)]); })
+  // Any change to the configuration (a reaction or an injected force_move)
+  // may re-enable reactions, so it clears the absorbing flag; step()
+  // re-derives it.
+  void add(State q, std::int64_t delta) {
+    for (State row : rows_by_responder_[q]) {
+      responder_sum_[row] = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(responder_sum_[row]) + delta);
+    }
+    absorbing_ = false;
+  }
+
+  // Snapshot payload: the absorbing flag.
+  void save_state(BinaryWriter& out) const { out.u8(absorbing_ ? 1 : 0); }
+  static bool read_state(BinaryReader& in) {
+    const std::uint8_t absorbing = in.u8();
+    POPBEAN_CHECK_MSG(absorbing <= 1, "snapshot absorbing flag corrupt");
+    return absorbing != 0;
+  }
+  void restore(const Counts& counts, bool absorbing) {
+    absorbing_ = absorbing;
+    sum_responders(counts);
   }
 
  private:
-  static constexpr std::size_t index(Output o) noexcept {
-    return o == 0 ? 0 : 1;
-  }
-
   std::size_t cell(State a, State b) const noexcept {
     return static_cast<std::size_t>(a) * num_states_ + b;
   }
 
   // Weight of productive ordered pairs whose initiator has state i.
-  std::uint64_t row_weight(State i) const noexcept {
-    const std::uint64_t base = counts_[i] * responder_sum_[i];
-    return reactive_[cell(i, i)] ? base - counts_[i] : base;
+  std::uint64_t row_weight(const Counts& counts, State i) const noexcept {
+    const std::uint64_t base = counts[i] * responder_sum_[i];
+    return reactive_[cell(i, i)] ? base - counts[i] : base;
   }
 
-  void adjust(State q, std::int64_t delta) {
-    counts_[q] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(counts_[q]) + delta);
-    for (State row : rows_by_responder_[q]) {
-      responder_sum_[row] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(responder_sum_[row]) + delta);
+  void sum_responders(const Counts& counts) {
+    responder_sum_.assign(num_states_, 0);
+    for (State i = 0; i < num_states_; ++i) {
+      for (State j = 0; j < num_states_; ++j) {
+        if (reactive_[cell(i, j)]) responder_sum_[i] += counts[j];
+      }
     }
   }
 
-  void move_output(State from, State to) noexcept {
-    const Output before = protocol_.output(from);
-    const Output after = protocol_.output(to);
-    if (before != after) {
-      --out_count_[index(before)];
-      ++out_count_[index(after)];
-    }
-  }
-
-  P protocol_;
   std::size_t num_states_;
-  Counts counts_;
   std::vector<Transition> table_;
   std::vector<char> reactive_;
-  obs::EngineProbe* probe_ = nullptr;
-  std::vector<obs::ReactionKind> kind_table_;  // built lazily by attach_probe
   std::vector<std::vector<State>> rows_by_responder_;
   std::vector<std::uint64_t> responder_sum_;
-  std::uint64_t num_agents_ = 0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t out_count_[2] = {0, 0};
   bool absorbing_ = false;
+};
+
+template <ProtocolLike P>
+class SkipEngine : public CompleteGraphEngine<P, JumpChainSampler> {
+ public:
+  static constexpr std::size_t kMaxStates = JumpChainSampler::kMaxStates;
+
+  using CompleteGraphEngine<P, JumpChainSampler>::CompleteGraphEngine;
+
+  bool absorbing() const noexcept { return this->sampler().absorbing(); }
+  std::uint64_t reactive_weight() const {
+    return this->sampler().reactive_weight(this->counts());
+  }
 };
 
 }  // namespace popbean

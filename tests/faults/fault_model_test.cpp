@@ -2,6 +2,7 @@
 // and imprinted through the PerturbedEngine (crash → absorption, stuck-at →
 // frozen dynamics, corruption → conservation of agents but not invariants).
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
+#include "temp_path.hpp"
 
 namespace popbean::faults {
 namespace {
@@ -293,7 +295,7 @@ TEST(PerturbedFaultsTest, FaultLogCsvHasOneRowPerEvent) {
                                TransientCorruption(1.0), UniformSchedule{},
                                root);
   for (int i = 0; i < 10; ++i) engine.step(root);
-  const std::string path = ::testing::TempDir() + "popbean_fault_log_test.csv";
+  const std::string path = test_temp_path("fault_log.csv");
   write_fault_log_csv(engine.fault_log(), protocol, path);
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -305,6 +307,8 @@ TEST(PerturbedFaultsTest, FaultLogCsvHasOneRowPerEvent) {
     if (!line.empty()) ++rows;
   }
   EXPECT_EQ(rows, engine.fault_log().events().size());
+  in.close();
+  std::remove(path.c_str());
 }
 
 }  // namespace

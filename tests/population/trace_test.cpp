@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "population/count_engine.hpp"
+#include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "util/rng.hpp"
 
@@ -79,6 +80,20 @@ TEST(TraceTest, RespectsStepBudget) {
   const RunResult result = recorder.record(engine, rng, 100, 500);
   EXPECT_EQ(result.status, RunStatus::kStepLimit);
   EXPECT_EQ(result.interactions, 500u);
+}
+
+TEST(TraceTest, ReportsAbsorbingWhenTheSkipEngineGetsStuck) {
+  // A + B -> a + b, after which the weak pair never reacts: the outputs stay
+  // mixed in an absorbing configuration.
+  FourStateProtocol protocol;
+  SkipEngine<FourStateProtocol> engine(protocol,
+                                       majority_instance(protocol, 2, 1));
+  TraceRecorder recorder({output_one_count(protocol)});
+  Xoshiro256ss rng(605);
+  const RunResult result = recorder.record(engine, rng, 1, 10'000'000);
+  EXPECT_EQ(result.status, RunStatus::kAbsorbing);
+  EXPECT_TRUE(engine.absorbing());
+  EXPECT_EQ(recorder.points().back().interactions, result.interactions);
 }
 
 }  // namespace

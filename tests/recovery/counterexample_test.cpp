@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "protocols/tabulated_io.hpp"
 #include "verify/finding.hpp"
 #include "verify/model_check.hpp"
+#include "temp_path.hpp"
 
 namespace popbean::recovery {
 namespace {
@@ -91,7 +93,7 @@ TEST(CounterexampleTest, SaveLoadRoundTrip) {
 
   const CapturePair capture = make_counterexample_capture(
       parsed.protocol, "wrong-stable", result.counterexamples.front());
-  const std::string prefix = ::testing::TempDir() + "popbean_cex";
+  const std::string prefix = test_temp_path("cex");
   const auto [header_path, log_path] = save_counterexample(prefix, capture);
   EXPECT_EQ(header_path, prefix + ".header.pbsn");
   EXPECT_EQ(log_path, prefix + ".log.pbsn");
@@ -103,6 +105,8 @@ TEST(CounterexampleTest, SaveLoadRoundTrip) {
   EXPECT_EQ(header.invariant_weights, capture.header.invariant_weights);
   EXPECT_EQ(log.events, capture.log.events);
   EXPECT_TRUE(log.outcome == capture.log.outcome);
+  std::remove(header_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "harness/checkpoint.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/builtin_invariants.hpp"
+#include "temp_path.hpp"
 
 namespace popbean {
 namespace {
@@ -65,7 +66,7 @@ void expect_points_identical(const std::vector<FaultSweepPoint>& a,
 
 class ResumeTest : public ::testing::Test {
  protected:
-  std::string manifest_ = ::testing::TempDir() + "/popbean_resume_manifest.txt";
+  std::string manifest_ = test_temp_path("manifest.txt");
   void TearDown() override { std::remove(manifest_.c_str()); }
 };
 

@@ -25,6 +25,7 @@
 #include "protocols/four_state.hpp"
 #include "serve/replicate.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace popbean::serve {
 namespace {
@@ -144,8 +145,7 @@ TEST(VoteServiceTest, EvenReplicaCountsAreRejectedUpFront) {
 }
 
 TEST(VoteServiceTest, CorruptMinorityIsOutvotedAndCaptured) {
-  const std::string capture_dir =
-      ::testing::TempDir() + "popbean_vote_captures";
+  const std::string capture_dir = test_temp_path("vote_captures");
   std::filesystem::remove_all(capture_dir);
   std::ostringstream telemetry_lines;
   obs::TelemetrySink telemetry(telemetry_lines);
