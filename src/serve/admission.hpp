@@ -30,6 +30,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -48,6 +49,14 @@ inline const char* to_string(ShedPolicy policy) {
     case ShedPolicy::kClientQuota: return "client-quota";
   }
   return "reject-newest";
+}
+
+// Parses the serve tools' --shed flag (the inverse of to_string above).
+inline ShedPolicy parse_shed_policy(const std::string& text) {
+  if (text == "reject-newest") return ShedPolicy::kRejectNewest;
+  if (text == "deadline-aware") return ShedPolicy::kDeadlineAware;
+  if (text == "client-quota") return ShedPolicy::kClientQuota;
+  throw std::runtime_error("flag --shed: unknown policy \"" + text + "\"");
 }
 
 struct AdmissionConfig {

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace popbean::serve {
 
@@ -119,6 +120,18 @@ struct JobResponse {
   // to route this response back to its socket. Not part of the wire schema.
   std::uint64_t origin = 0;
 };
+
+// A terminal response echoing the spec's id, trace id and origin.
+inline JobResponse response_for(const JobSpec& spec, JobOutcome outcome,
+                                std::string reason) {
+  JobResponse response;
+  response.id = spec.id;
+  response.outcome = outcome;
+  response.error = std::move(reason);
+  response.trace_id = spec.trace_id;
+  response.origin = spec.origin;
+  return response;
+}
 
 inline const char* to_string(JobPriority priority) {
   switch (priority) {

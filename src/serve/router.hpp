@@ -201,16 +201,11 @@ class ShardRouter {
       std::lock_guard lock(stats_mutex_);
       ++stats_.rejected_all;
     }
-    JobResponse response;
-    response.origin = spec.origin;
-    response.id = std::move(spec.id);
-    response.outcome = JobOutcome::kOverloaded;
-    response.error = config_.reject_to_sibling
-                         ? "all_shards_overloaded"
-                         : std::move(reason);
     // Each shard's try_submit recorded its own reject instant; the spec's
     // trace id (minted at decode) still joins this response to them.
-    response.trace_id = spec.trace_id;
+    JobResponse response = response_for(
+        spec, JobOutcome::kOverloaded,
+        config_.reject_to_sibling ? "all_shards_overloaded" : std::move(reason));
     response.shard = order.front();  // the owner that should have served it
     {
       std::lock_guard lock(response_mutex_);

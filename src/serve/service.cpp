@@ -23,39 +23,24 @@
 
 namespace popbean::serve {
 
-namespace {
-
-using FpMillis = std::chrono::duration<double, std::milli>;
-
 enum class AttemptKind { kOk, kFailed, kTimeout, kShutdown };
 
-// Vote evidence carried out of one attempt (zeroed for unvoted attempts and
-// chaos-failed attempts that never ran replicas).
-struct VoteSummary {
-  bool voted = false;
-  std::uint32_t replicas_run = 0;  // slots the executor was configured with
-  std::uint32_t divergent = 0;
-  std::uint32_t abandoned = 0;
-  bool no_majority = false;
-  bool divergence = false;  // any minority, or no majority at all
-  // First minority replica, for telemetry and replay capture.
-  bool has_minority = false;
-  std::uint32_t minority_replica = 0;
-  std::uint64_t minority_stream = 0;
-  bool minority_corrupt = false;
-  std::string capture_header;  // non-empty when a capture pair was written
-  std::string capture_log;
-};
-
+// What one attempt returns. `vote` stays default (voted = false) for
+// attempts that never ran a replica (chaos kFail, a thrown dispatch).
 struct Attempt {
   AttemptKind kind = AttemptKind::kFailed;
   JobResult result;
   std::string error;
-  VoteSummary vote;
+  VoteOutcome vote;
+  // The first outvoted replica's stream, for telemetry and replay capture.
+  std::uint64_t minority_stream = 0;
+  bool minority_corrupt = false;
+  std::optional<recovery::DivergenceCapture> capture;  // written pair, if any
 };
 
-// Everything one attempt needs beyond the spec: the ladder-adjusted
-// replication counts, the chaos corruption target, and the capture budget.
+// Everything one attempt needs beyond the spec. The plan stage fills it once
+// per job (ladder-adjusted replication counts, chaos rate, trace ids); the
+// attempt loop sets only attempt_index, corrupt_replica and capture_allowed.
 struct AttemptPlan {
   std::uint32_t replicates = 1;
   std::uint64_t max_interactions = 0;
@@ -66,12 +51,22 @@ struct AttemptPlan {
   std::uint64_t poll_interval = 1024;
   std::uint64_t sequence = 0;
   std::string capture_dir;  // empty = captures off
-  bool capture_allowed = false;
-  // Request-scoped tracing (nullptr/0 = untraced): replica spans record
-  // onto the job's async track.
+  bool capture_allowed = false;  // set only when capture_dir is non-empty
+  // Request-scoped tracing (nullptr = untraced): replica spans record onto
+  // the job's async track.
   obs::TraceCollector* trace = nullptr;
   std::uint64_t trace_id = 0;
 };
+
+namespace {
+
+using FpMillis = std::chrono::duration<double, std::milli>;
+
+// The one mapping of an attempt kind (indexed by AttemptKind): its `kind`
+// trace arg and the outcome it gives the job as the last attempt.
+constexpr struct { const char* name; JobOutcome outcome; } kKinds[] = {
+    {"ok", JobOutcome::kDone}, {"failed", JobOutcome::kFailed},
+    {"timeout", JobOutcome::kTimeout}, {"shutdown", JobOutcome::kFailed}};
 
 // Runs one voting replica: all statistical replicates on their own RNG
 // streams (replicate.hpp's replica_stream — replica 0 reuses the legacy
@@ -87,7 +82,7 @@ std::optional<ReplicaPayload> run_replica(
   // double precision). Recorded on every exit, including interruption.
   const auto replica_start = obs::TraceCollector::Clock::now();
   const auto record_replica = [&](bool interrupted) {
-    if (plan.trace == nullptr || plan.trace_id == 0) return;
+    if (plan.trace == nullptr) return;
     plan.trace->async_span(
         "replica", "serve", plan.trace_id, replica_start,
         obs::TraceCollector::Clock::now(),
@@ -167,7 +162,7 @@ Attempt run_attempt(const P& protocol,
 
   ReplicatedExecutor executor(plan.vote_replicas);
   std::vector<std::optional<ReplicaPayload>> slots;
-  const VoteOutcome vote = executor.execute(slots, [&](std::uint32_t j) {
+  attempt.vote = executor.execute(slots, [&](std::uint32_t j) {
     const bool corrupt =
         plan.corrupt_replica == -2 ||
         (plan.corrupt_replica >= 0 &&
@@ -175,53 +170,40 @@ Attempt run_attempt(const P& protocol,
     return run_replica(protocol, spec, initial, instance, plan, corrupt, j,
                        should_stop);
   });
-
-  attempt.vote.voted = vote.voted;
-  attempt.vote.replicas_run = plan.vote_replicas;
-  attempt.vote.divergent = vote.divergent;
-  attempt.vote.abandoned = vote.abandoned;
+  const VoteOutcome& vote = attempt.vote;
 
   if (!vote.majority_found) {
     if (vote.abandoned > 0) {
       // Killed replicas, not disagreeing ones — the job ran out of time (or
       // the service is shutting down); the family is not to blame.
-      attempt.kind = cancel.load(std::memory_order_relaxed)
-                         ? AttemptKind::kShutdown
-                         : AttemptKind::kTimeout;
+      const bool shutdown = cancel.load(std::memory_order_relaxed);
+      attempt.kind = shutdown ? AttemptKind::kShutdown : AttemptKind::kTimeout;
+      if (shutdown) attempt.error = "shutdown";
       return attempt;
     }
-    // Every replica finished and no payload reached a majority: the
-    // strongest possible divergence evidence.
-    attempt.vote.no_majority = true;
-    attempt.vote.divergence = true;
-    attempt.kind = AttemptKind::kFailed;
     attempt.error = "no_majority";
     return attempt;
   }
 
   const ReplicaPayload& winner = *slots[vote.winner];
   if (vote.divergent > 0) {
-    attempt.vote.divergence = true;
-    attempt.vote.has_minority = true;
     const std::uint32_t loser = vote.minority.front();
     const ReplicaPayload& minority = *slots[loser];
     const std::uint32_t group =
         first_diverging_replicate(winner, minority).value_or(0);
     const std::size_t idx =
         std::min<std::size_t>(group, minority.streams.size() - 1);
-    attempt.vote.minority_replica = loser;
-    attempt.vote.minority_stream = minority.streams[idx];
-    attempt.vote.minority_corrupt = minority.corrupt;
+    attempt.minority_stream = minority.streams[idx];
+    attempt.minority_corrupt = minority.corrupt;
     // Freeze the outvoted run for popbean-replay. Only corrupt replicas are
     // capturable (§7 recording needs an active fault model); a clean-vs-
     // clean divergence would be a real service bug, and telemetry still
     // carries its (seed, stream) pair.
-    if (plan.capture_allowed && minority.corrupt &&
-        !plan.capture_dir.empty()) {
+    if (plan.capture_allowed && minority.corrupt) {
       recovery::RecordSpec record;
       record.protocol_name = spec.protocol;
       record.seed = spec.seed;
-      record.stream = attempt.vote.minority_stream;
+      record.stream = attempt.minority_stream;
       record.max_interactions = plan.max_interactions;
       record.rate = plan.corrupt_rate;
       record.epsilon = spec.epsilon;
@@ -229,12 +211,9 @@ Attempt run_attempt(const P& protocol,
                               std::to_string(plan.sequence) + "-a" +
                               std::to_string(plan.attempt_index) + "-r" +
                               std::to_string(loser);
-      if (const auto capture = recovery::record_divergent_replica(
-              protocol, invariant, initial, plan.corrupt_rate, record,
-              plan.capture_dir, tag)) {
-        attempt.vote.capture_header = capture->header_path;
-        attempt.vote.capture_log = capture->log_path;
-      }
+      attempt.capture = recovery::record_divergent_replica(
+          protocol, invariant, initial, plan.corrupt_rate, record,
+          plan.capture_dir, tag);
     }
   }
 
@@ -372,18 +351,6 @@ void JobService::emit(JobResponse response) {
   on_response_(response);
 }
 
-JobResponse JobService::overloaded_response(std::string id, std::string reason,
-                                            std::uint64_t trace_id,
-                                            std::uint64_t origin) const {
-  JobResponse response;
-  response.id = std::move(id);
-  response.outcome = JobOutcome::kOverloaded;
-  response.error = std::move(reason);
-  response.trace_id = trace_id;
-  response.origin = origin;
-  return response;
-}
-
 void JobService::trace_job_end(std::uint64_t trace_id, const char* outcome,
                                const char* reason) {
   if (config_.trace == nullptr || trace_id == 0) return;
@@ -405,78 +372,51 @@ std::optional<std::string> JobService::submit_internal(JobSpec spec,
   const auto now = Clock::now();
   // Direct submits (tests, tools skipping the codec) get their trace id
   // minted here so admission is never the untraced part of the tree.
-  if (config_.trace != nullptr && spec.trace_id == 0) {
-    spec.trace_id = obs::mint_trace_id();
-  }
+  const bool traced = config_.trace != nullptr;
+  if (traced && spec.trace_id == 0) spec.trace_id = obs::mint_trace_id();
   std::vector<JobResponse> to_emit;
   std::optional<std::string> rejection;
   {
     std::lock_guard lock(mutex_);
     if (draining_) {
-      metrics_.add(ids_.rejected);
       rejection = "draining";
-      if (config_.trace != nullptr && spec.trace_id != 0) {
+    } else {
+      const std::chrono::milliseconds budget =
+          spec.deadline.count() != 0 ? spec.deadline : config_.default_deadline;
+      const Deadline deadline = budget.count() != 0
+                                    ? Deadline::after(budget, now)
+                                    : Deadline::unlimited();
+      // Pushes a copy: the one reject path below still answers from `spec`.
+      AdmitResult result =
+          queue_.push(QueuedJob{spec, deadline, now, next_sequence_++});
+      if (result.admitted) {
+        metrics_.add(ids_.accepted);
+        // The root "job" span opens at admission; exactly one terminal site
+        // (run_job, shed, eviction, drain flush) closes it.
+        if (traced) {
+          config_.trace->async_begin(
+              "job", "serve", spec.trace_id,
+              {{"shard", static_cast<double>(config_.shard_index)}},
+              {{"job", spec.id}, {"protocol", spec.protocol}});
+        }
+        if (result.evicted.has_value()) {
+          drop_locked(*result.evicted, "shed_deadline", to_emit);
+        }
+        update_overload_locked(now, to_emit);
+        pump_locked();
+      } else {
+        rejection = std::move(result.reason);
+      }
+    }
+    if (rejection.has_value()) {
+      metrics_.add(ids_.rejected);
+      if (traced) {
         config_.trace->async_instant("reject", "serve", spec.trace_id, {},
                                      {{"reason", *rejection}});
       }
       if (emit_rejection) {
-        to_emit.push_back(overloaded_response(spec.id, *rejection,
-                                              spec.trace_id, spec.origin));
-      }
-    } else {
-      QueuedJob job;
-      job.spec = std::move(spec);
-      const std::chrono::milliseconds budget =
-          job.spec.deadline.count() != 0 ? job.spec.deadline
-                                         : config_.default_deadline;
-      job.deadline = budget.count() != 0 ? Deadline::after(budget, now)
-                                         : Deadline::unlimited();
-      job.admitted = now;
-      job.sequence = next_sequence_++;
-      const std::string id = job.spec.id;  // push moves the job
-      const std::string protocol = job.spec.protocol;
-      const std::uint64_t trace_id = job.spec.trace_id;
-      const std::uint64_t origin = job.spec.origin;
-      AdmitResult result = queue_.push(std::move(job));
-      if (!result.admitted) {
-        metrics_.add(ids_.rejected);
-        rejection = result.reason;
-        if (config_.trace != nullptr && trace_id != 0) {
-          config_.trace->async_instant("reject", "serve", trace_id, {},
-                                       {{"reason", result.reason}});
-        }
-        if (emit_rejection) {
-          to_emit.push_back(
-              overloaded_response(id, result.reason, trace_id, origin));
-        }
-      } else {
-        metrics_.add(ids_.accepted);
-        // The root "job" span opens at admission; exactly one terminal site
-        // (run_job, shed, eviction, drain flush) closes it.
-        if (config_.trace != nullptr && trace_id != 0) {
-          config_.trace->async_begin(
-              "job", "serve", trace_id,
-              {{"shard", static_cast<double>(config_.shard_index)}},
-              {{"job", id}, {"protocol", protocol}});
-        }
-        if (result.evicted.has_value()) {
-          metrics_.add(ids_.shed);
-          trace_job_end(result.evicted->spec.trace_id, "overloaded",
-                        "shed_deadline");
-          to_emit.push_back(overloaded_response(result.evicted->spec.id,
-                                                "shed_deadline",
-                                                result.evicted->spec.trace_id,
-                                                result.evicted->spec.origin));
-        }
-        for (QueuedJob& victim : update_overload_locked(now)) {
-          metrics_.add(ids_.shed);
-          trace_job_end(victim.spec.trace_id, "overloaded", "shed_overload");
-          to_emit.push_back(overloaded_response(victim.spec.id,
-                                                "shed_overload",
-                                                victim.spec.trace_id,
-                                                victim.spec.origin));
-        }
-        pump_locked();
+        to_emit.push_back(
+            response_for(spec, JobOutcome::kOverloaded, *rejection));
       }
     }
     update_gauges_locked();
@@ -495,7 +435,6 @@ void JobService::pump_locked() {
     ++running_;
     auto ctx = std::make_shared<ActiveJob>();
     ctx->deadline = job->deadline;
-    ctx->id = job->spec.id;
     ctx->trace_id = job->spec.trace_id;
     active_.push_back(ctx);
     // Boxed so the lambda stays copyable (std::function requirement).
@@ -505,9 +444,16 @@ void JobService::pump_locked() {
   }
 }
 
-std::vector<QueuedJob> JobService::update_overload_locked(
-    Clock::time_point now) {
-  std::vector<QueuedJob> shed;
+void JobService::drop_locked(const QueuedJob& job, const char* reason,
+                             std::vector<JobResponse>& to_emit,
+                             JobOutcome outcome) {
+  metrics_.add(outcome == JobOutcome::kOverloaded ? ids_.shed : ids_.failed);
+  trace_job_end(job.spec.trace_id, to_string(outcome), reason);
+  to_emit.push_back(response_for(job.spec, outcome, reason));
+}
+
+void JobService::update_overload_locked(Clock::time_point now,
+                                        std::vector<JobResponse>& to_emit) {
   const double occupancy = queue_.occupancy();
   if (occupancy >= config_.degradation.high_watermark) {
     if (!overload_since_.has_value()) overload_since_ = now;
@@ -520,7 +466,7 @@ std::vector<QueuedJob> JobService::update_overload_locked(
       while (queue_.occupancy() > config_.degradation.high_watermark) {
         std::optional<QueuedJob> victim = queue_.shed_lowest();
         if (!victim.has_value()) break;
-        shed.push_back(std::move(*victim));
+        drop_locked(*victim, "shed_overload", to_emit);
       }
     }
   } else if (occupancy <= config_.degradation.low_watermark) {
@@ -528,7 +474,6 @@ std::vector<QueuedJob> JobService::update_overload_locked(
     overload_since_.reset();
     level_ = 0;
   }
-  return shed;
 }
 
 void JobService::update_gauges_locked() {
@@ -569,13 +514,7 @@ void JobService::run_job(const QueuedJob& job, ActiveJob& ctx) {
                                    return a.get() == &ctx;
                                  }),
                   active_.end());
-    for (QueuedJob& victim : update_overload_locked(Clock::now())) {
-      metrics_.add(ids_.shed);
-      trace_job_end(victim.spec.trace_id, "overloaded", "shed_overload");
-      to_emit.push_back(overloaded_response(victim.spec.id, "shed_overload",
-                                            victim.spec.trace_id,
-                                            victim.spec.origin));
-    }
+    update_overload_locked(Clock::now(), to_emit);
     pump_locked();
     update_gauges_locked();
     if (running_ == 0 && queue_.empty()) idle_cv_.notify_all();
@@ -585,89 +524,110 @@ void JobService::run_job(const QueuedJob& job, ActiveJob& ctx) {
 
 JobResponse JobService::execute(const QueuedJob& job, ActiveJob& ctx) {
   const auto start = Clock::now();
-  obs::TraceCollector* const trace = config_.trace;
-  const std::uint64_t trace_id = job.spec.trace_id;
-  const bool traced = trace != nullptr && trace_id != 0;
-  JobResponse response;
-  response.id = job.spec.id;
-  response.trace_id = trace_id;
-  response.origin = job.spec.origin;
+  JobResponse response = response_for(job.spec, JobOutcome::kDone, "");
   response.queue_ms = FpMillis(start - job.admitted).count();
-  metrics_.observe(ids_.queue_ms, response.queue_ms, trace_id);
+  metrics_.observe(ids_.queue_ms, response.queue_ms, job.spec.trace_id);
   // The queue wait is only measurable once the job pops — recorded
   // retrospectively over [admitted, start].
-  if (traced) {
-    trace->async_span("queue", "serve", trace_id, job.admitted, start);
+  if (config_.trace != nullptr && job.spec.trace_id != 0) {
+    config_.trace->async_span("queue", "serve", job.spec.trace_id,
+                              job.admitted, start);
   }
 
-  if (job.deadline.expired(start)) {
-    // Expired while queued: the job never ran, so the breaker learns
-    // nothing about the protocol from it.
-    metrics_.add(ids_.timeouts);
-    response.outcome = JobOutcome::kTimeout;
-    response.error = "deadline expired in queue";
-    return response;
-  }
+  AttemptPlan plan;
   {
     std::lock_guard lock(mutex_);
-    CircuitBreaker& breaker = breakers_.for_key(job.spec.protocol);
-    if (!breaker.allow(start)) {
-      metrics_.add(ids_.circuit_open);
-      metrics_.add(ids_.failed);
-      update_gauges_locked();
-      if (traced) {
-        trace->async_instant("circuit_open", "serve", trace_id);
-      }
-      response.outcome = JobOutcome::kFailed;
-      response.error = "circuit_open";
+    if (gate_locked(job, start, response)) {
+      // Vetoed: the job never ran, so the breaker learns nothing from it.
+      settle_locked(job.spec, response, /*judge_breaker=*/false, start);
       return response;
     }
-    update_gauges_locked();  // allow() may have moved open → half-open
+    plan = plan_locked(job, start, response);
+    update_gauges_locked();  // allow() / vote_allowed() may move a breaker
   }
 
-  // Snapshot the degradation ladder for this job: voting is the first
-  // rung's sacrifice (k → 3 → 1), then statistical replication, then the
-  // interaction cap.
-  std::uint32_t vote_k = job.spec.vote_replicas != 0 ? job.spec.vote_replicas
-                                                     : config_.vote_replicas;
-  std::uint32_t replicates = job.spec.replicates;
-  std::uint64_t max_interactions = job.spec.effective_max_interactions();
-  {
-    std::lock_guard lock(mutex_);
-    if (level_ >= 1) {
-      if (replicates > 1) {
-        replicates = 1;
-        response.degraded = true;
-      }
-      if (vote_k > 3) {
-        vote_k = 3;
-        response.degraded = true;
-      }
-    }
-    if (level_ >= 2) {
-      if (config_.degradation.truncate_interactions < max_interactions) {
-        max_interactions = config_.degradation.truncate_interactions;
-        response.degraded = true;
-      }
-      if (vote_k > 1) {
-        vote_k = 1;
-        response.degraded = true;
-      }
-    }
-    if (vote_k > 1) {
-      CircuitBreaker& breaker = breakers_.for_key(job.spec.protocol);
-      if (!breaker.vote_allowed(start)) {
-        // Quarantined family: execute unvoted, label the response so the
-        // client knows this answer carries no replication guarantee.
-        vote_k = 1;
-        response.quarantined = true;
-        metrics_.add(ids_.quarantined_jobs);
-      }
-      update_gauges_locked();  // vote_allowed may have started probation
-    }
+  const Attempt attempt = attempt_loop(job, ctx, plan, response);
+  const auto finish = Clock::now();
+  response.run_ms = FpMillis(finish - start).count();
+  metrics_.observe(ids_.run_ms, response.run_ms, job.spec.trace_id);
+  response.replicas_used = plan.vote_replicas;
+  response.voted = attempt.vote.voted;
+  response.divergent = attempt.vote.divergent;
+  response.result = attempt.result;  // zero unless the attempt succeeded
+  response.outcome = kKinds[static_cast<std::size_t>(attempt.kind)].outcome;
+  response.error = attempt.error;
+  if (attempt.kind == AttemptKind::kOk &&
+      plan.max_interactions < job.spec.effective_max_interactions()) {
+    response.outcome = JobOutcome::kTruncated;
+  } else if (attempt.kind == AttemptKind::kTimeout) {
+    response.error = ctx.abandon.load(std::memory_order_relaxed)
+                         ? "watchdog_abandoned"
+                         : "deadline expired";
   }
-  const bool capped = max_interactions < job.spec.effective_max_interactions();
+  std::lock_guard lock(mutex_);
+  // Shutdown says nothing about the protocol — no breaker record.
+  settle_locked(job.spec, response, attempt.kind != AttemptKind::kShutdown,
+                finish);
+  return response;
+}
 
+bool JobService::gate_locked(const QueuedJob& job, Clock::time_point now,
+                             JobResponse& response) {
+  if (job.deadline.expired(now)) {
+    response.outcome = JobOutcome::kTimeout;
+    response.error = "deadline expired in queue";
+    return true;
+  }
+  if (breakers_.for_key(job.spec.protocol).allow(now)) return false;
+  metrics_.add(ids_.circuit_open);
+  if (config_.trace != nullptr && job.spec.trace_id != 0) {
+    config_.trace->async_instant("circuit_open", "serve", job.spec.trace_id);
+  }
+  response.outcome = JobOutcome::kFailed;
+  response.error = "circuit_open";
+  return true;
+}
+
+AttemptPlan JobService::plan_locked(const QueuedJob& job,
+                                    Clock::time_point now,
+                                    JobResponse& response) {
+  AttemptPlan plan;
+  plan.vote_replicas = job.spec.vote_replicas != 0 ? job.spec.vote_replicas
+                                                   : config_.vote_replicas;
+  plan.replicates = job.spec.replicates;
+  plan.max_interactions = job.spec.effective_max_interactions();
+  // Voting is the first rung's sacrifice (k → 3 → 1), then statistical
+  // replication, then the interaction cap.
+  const std::uint64_t cap = config_.degradation.truncate_interactions;
+  if (level_ >= 1 && (plan.replicates > 1 || plan.vote_replicas > 3)) {
+    plan.replicates = std::min(plan.replicates, 1u);
+    plan.vote_replicas = std::min(plan.vote_replicas, 3u);
+    response.degraded = true;
+  }
+  if (level_ >= 2 && (cap < plan.max_interactions || plan.vote_replicas > 1)) {
+    plan.max_interactions = std::min(plan.max_interactions, cap);
+    plan.vote_replicas = std::min(plan.vote_replicas, 1u);
+    response.degraded = true;
+  }
+  if (plan.vote_replicas > 1 &&
+      !breakers_.for_key(job.spec.protocol).vote_allowed(now)) {
+    // Quarantined family: execute unvoted, label the response so the
+    // client knows this answer carries no replication guarantee.
+    plan.vote_replicas = 1;
+    response.quarantined = true;
+    metrics_.add(ids_.quarantined_jobs);
+  }
+  plan.corrupt_rate = config_.chaos_corrupt_rate;
+  plan.poll_interval = config_.stop_check_interval;
+  plan.sequence = job.sequence;
+  plan.capture_dir = config_.vote_capture_dir;
+  plan.trace = job.spec.trace_id != 0 ? config_.trace : nullptr;
+  plan.trace_id = job.spec.trace_id;
+  return plan;
+}
+
+Attempt JobService::attempt_loop(const QueuedJob& job, const ActiveJob& ctx,
+                                 AttemptPlan& plan, JobResponse& response) {
   DecorrelatedJitterBackoff backoff(config_.backoff,
                                     Xoshiro256ss(config_.seed, job.sequence));
   const auto should_stop = [this, &ctx, &job] {
@@ -675,196 +635,155 @@ JobResponse JobService::execute(const QueuedJob& job, ActiveJob& ctx) {
            ctx.abandon.load(std::memory_order_relaxed) ||
            job.deadline.expired();
   };
-
-  Attempt attempt;
-  for (std::size_t attempt_index = 0;; ++attempt_index) {
+  for (std::size_t index = 0;; ++index) {
     ++response.attempts;
     const auto attempt_start = Clock::now();
-    ChaosAction action = ChaosAction::kNone;
-    if (config_.chaos) {
-      action = config_.chaos(ChaosContext{job.spec, attempt_index,
-                                          job.sequence});
-    }
+    plan.attempt_index = index;
+    const ChaosAction action =
+        config_.chaos ? config_.chaos(ChaosContext{job.spec, index,
+                                                   job.sequence})
+                      : ChaosAction::kNone;
+    // A wedged worker: deliberately does NOT poll the job deadline, so only
+    // the watchdog's abandon flag or a drain cancel unsticks it.
     if (action == ChaosAction::kSlow) {
-      // A wedged worker: deliberately does NOT poll the job deadline, so
-      // only the watchdog's abandon flag or a drain cancel unsticks it.
-      const auto stall_until = Clock::now() + config_.chaos_slow;
-      while (Clock::now() < stall_until &&
-             !cancel_.load(std::memory_order_relaxed) &&
-             !ctx.abandon.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      sleep_interruptible(config_.chaos_slow, ctx);
     }
+    Attempt attempt;
     if (action == ChaosAction::kFail) {
-      attempt = Attempt{AttemptKind::kFailed, JobResult{}, "chaos_fail", {}};
+      attempt.error = "chaos_fail";
     } else {
-      AttemptPlan plan;
-      plan.replicates = replicates;
-      plan.max_interactions = max_interactions;
-      plan.vote_replicas = vote_k;
-      if (action == ChaosAction::kCorrupt) {
-        // Under voting, corrupt the last replica only — a minority of one
-        // the vote must outlive; unvoted jobs corrupt their single replica
-        // exactly as the pre-voting service did.
-        plan.corrupt_replica = vote_k > 1 ? static_cast<int>(vote_k - 1) : 0;
-      } else if (action == ChaosAction::kCorruptAll) {
-        plan.corrupt_replica = -2;
-      }
-      plan.corrupt_rate = config_.chaos_corrupt_rate;
-      plan.attempt_index = static_cast<std::uint64_t>(attempt_index);
-      plan.poll_interval = config_.stop_check_interval;
-      plan.sequence = job.sequence;
-      plan.trace = trace;
-      plan.trace_id = trace_id;
-      plan.capture_dir = config_.vote_capture_dir;
+      // Under voting kCorrupt hits the last replica only — a minority of one
+      // the vote must outlive; an unvoted job corrupts its single replica.
+      plan.corrupt_replica =
+          action == ChaosAction::kCorruptAll ? -2
+          : action == ChaosAction::kCorrupt
+              ? static_cast<int>(plan.vote_replicas - 1)
+              : -1;
       if (!plan.capture_dir.empty()) {
         std::lock_guard lock(mutex_);
         // Soft limit: concurrent divergences may overshoot by the worker
         // count; the point is bounding disk, not exact accounting.
-        plan.capture_allowed =
-            captures_written_ < config_.vote_capture_limit;
+        plan.capture_allowed = captures_written_ < config_.vote_capture_limit;
       }
       try {
         attempt = dispatch_attempt(job.spec, plan, should_stop, cancel_);
       } catch (const std::exception& e) {
-        attempt = Attempt{AttemptKind::kFailed, JobResult{}, e.what(), {}};
+        attempt.error = e.what();  // `attempt` is still default: kFailed
       }
     }
 
-    if (traced) {
-      trace->async_span(
-          "attempt", "serve", trace_id, attempt_start, Clock::now(),
-          {{"attempt", static_cast<double>(attempt_index)},
-           {"replicas", static_cast<double>(vote_k)}},
-          {{"kind", attempt.kind == AttemptKind::kOk        ? "ok"
-                    : attempt.kind == AttemptKind::kTimeout ? "timeout"
-                    : attempt.kind == AttemptKind::kShutdown
-                        ? "shutdown"
-                        : "failed"}});
-      if (attempt.vote.voted) {
-        trace->async_instant(
-            "vote", "serve", trace_id,
-            {{"replicas", static_cast<double>(attempt.vote.replicas_run)},
-             {"divergent", static_cast<double>(attempt.vote.divergent)},
-             {"no_majority", attempt.vote.no_majority ? 1.0 : 0.0}});
-      }
+    if (plan.trace != nullptr) {
+      plan.trace->async_span(
+          "attempt", "serve", plan.trace_id, attempt_start, Clock::now(),
+          {{"attempt", static_cast<double>(index)},
+           {"replicas", static_cast<double>(plan.vote_replicas)}},
+          {{"kind", kKinds[static_cast<std::size_t>(attempt.kind)].name}});
     }
+    if (attempt.vote.voted) record_vote(job.spec, plan, attempt);
 
-    // Vote bookkeeping per attempt (retried attempts count too — quarantine
-    // evidence must not vanish just because a retry later succeeded).
-    if (attempt.vote.voted) {
-      const auto now = Clock::now();
-      bool entered = false;
-      bool recovered = false;
-      {
-        std::lock_guard lock(mutex_);
-        CircuitBreaker& breaker = breakers_.for_key(job.spec.protocol);
-        metrics_.add(ids_.voted);
-        if (attempt.vote.divergence) {
-          metrics_.add(ids_.divergences);
-          metrics_.add(
-              metrics_.counter("serve.vote.divergence." + job.spec.protocol));
-          if (attempt.vote.no_majority) metrics_.add(ids_.no_majority);
-          entered = breaker.record_divergence(now);
-          if (entered) metrics_.add(ids_.quarantine_entered);
-          if (!attempt.vote.capture_header.empty()) {
-            ++captures_written_;
-            metrics_.add(ids_.captures);
-          }
-        } else if (attempt.vote.abandoned == 0) {
-          recovered = breaker.record_clean_vote();
-          if (recovered) metrics_.add(ids_.quarantine_recovered);
-        }
-        update_gauges_locked();
-      }
-      if (attempt.vote.divergence && config_.telemetry != nullptr) {
-        const VoteSummary& vote = attempt.vote;
-        config_.telemetry->record("vote_divergence", [&](JsonWriter& json) {
-          json.kv("job", job.spec.id);
-          json.kv("family", job.spec.protocol);
-          json.kv("attempt", static_cast<std::uint64_t>(attempt_index));
-          json.kv("replicas", static_cast<std::uint64_t>(vote.replicas_run));
-          json.kv("divergent", static_cast<std::uint64_t>(vote.divergent));
-          json.kv("no_majority", vote.no_majority);
-          json.kv("seed", job.spec.seed);
-          if (vote.has_minority) {
-            json.kv("minority_replica",
-                    static_cast<std::uint64_t>(vote.minority_replica));
-            json.kv("stream", vote.minority_stream);
-            json.kv("minority_corrupt", vote.minority_corrupt);
-          }
-          if (!vote.capture_header.empty()) {
-            json.kv("capture_header", vote.capture_header);
-            json.kv("capture_log", vote.capture_log);
-          }
-          json.kv("quarantined", entered);
-        });
-      }
-    }
-
-    if (attempt.kind != AttemptKind::kFailed) break;
-    const bool may_retry = attempt_index < config_.max_retries &&
-                           !job.deadline.expired() &&
-                           !cancel_.load(std::memory_order_relaxed) &&
-                           !ctx.abandon.load(std::memory_order_relaxed);
-    if (!may_retry) break;
+    if (attempt.kind != AttemptKind::kFailed) return attempt;
+    if (index >= config_.max_retries || should_stop()) return attempt;
     metrics_.add(ids_.retries);
     const auto delay = std::min<Clock::duration>(backoff.next(),
                                                  job.deadline.remaining());
     const auto backoff_start = Clock::now();
     sleep_interruptible(delay, ctx);
-    if (traced) {
-      trace->async_span("backoff", "serve", trace_id, backoff_start,
-                        Clock::now(),
-                        {{"attempt", static_cast<double>(attempt_index)}});
+    if (plan.trace != nullptr) {
+      plan.trace->async_span("backoff", "serve", plan.trace_id, backoff_start,
+                             Clock::now(),
+                             {{"attempt", static_cast<double>(index)}});
     }
   }
+}
 
-  const auto finish = Clock::now();
-  response.run_ms = FpMillis(finish - start).count();
-  metrics_.observe(ids_.run_ms, response.run_ms, trace_id);
-  response.replicas_used =
-      attempt.vote.replicas_run > 0 ? attempt.vote.replicas_run : vote_k;
-  response.voted = attempt.vote.voted;
-  response.divergent = attempt.vote.divergent;
+// Vote trace and bookkeeping per voted attempt (retried attempts count too —
+// quarantine evidence must not vanish just because a retry later succeeded).
+void JobService::record_vote(const JobSpec& spec, const AttemptPlan& plan,
+                             const Attempt& attempt) {
+  const VoteOutcome& vote = attempt.vote;
+  // Every replica finished and none reached a majority: the strongest
+  // divergence evidence. (Abandoned replicas blame the deadline instead.)
+  const bool no_majority = !vote.majority_found && vote.abandoned == 0;
+  const bool divergence =
+      no_majority || (vote.majority_found && vote.divergent > 0);
+  if (plan.trace != nullptr) {
+    plan.trace->async_instant(
+        "vote", "serve", plan.trace_id,
+        {{"replicas", static_cast<double>(plan.vote_replicas)},
+         {"divergent", static_cast<double>(vote.divergent)},
+         {"no_majority", no_majority ? 1.0 : 0.0}});
+  }
+  const auto now = Clock::now();
+  bool entered = false;
+  {
+    std::lock_guard lock(mutex_);
+    CircuitBreaker& breaker = breakers_.for_key(spec.protocol);
+    metrics_.add(ids_.voted);
+    if (divergence) {
+      metrics_.add(ids_.divergences);
+      metrics_.add(metrics_.counter("serve.vote.divergence." + spec.protocol));
+      if (no_majority) metrics_.add(ids_.no_majority);
+      entered = breaker.record_divergence(now);
+      if (entered) metrics_.add(ids_.quarantine_entered);
+      if (attempt.capture.has_value()) {
+        ++captures_written_;
+        metrics_.add(ids_.captures);
+      }
+    } else if (vote.abandoned == 0 && breaker.record_clean_vote()) {
+      metrics_.add(ids_.quarantine_recovered);
+    }
+    update_gauges_locked();
+  }
+  if (!divergence || config_.telemetry == nullptr) return;
+  config_.telemetry->record("vote_divergence", [&](JsonWriter& json) {
+    json.kv("job", spec.id);
+    json.kv("family", spec.protocol);
+    json.kv("attempt", plan.attempt_index);
+    json.kv("replicas", static_cast<std::uint64_t>(plan.vote_replicas));
+    json.kv("divergent", static_cast<std::uint64_t>(vote.divergent));
+    json.kv("no_majority", no_majority);
+    json.kv("seed", spec.seed);
+    if (vote.majority_found) {  // an outvoted minority exists
+      json.kv("minority_replica",
+              static_cast<std::uint64_t>(vote.minority.front()));
+      json.kv("stream", attempt.minority_stream);
+      json.kv("minority_corrupt", attempt.minority_corrupt);
+    }
+    if (attempt.capture.has_value()) {
+      json.kv("capture_header", attempt.capture->header_path);
+      json.kv("capture_log", attempt.capture->log_path);
+    }
+    json.kv("quarantined", entered);
+  });
+}
 
-  std::lock_guard lock(mutex_);
-  CircuitBreaker& breaker = breakers_.for_key(job.spec.protocol);
-  switch (attempt.kind) {
-    case AttemptKind::kOk:
-      response.outcome = capped ? JobOutcome::kTruncated : JobOutcome::kDone;
-      response.result = attempt.result;
-      breaker.record_success(finish);
+void JobService::settle_locked(const JobSpec& spec,
+                               const JobResponse& response, bool judge_breaker,
+                               Clock::time_point now) {
+  CircuitBreaker* const breaker =
+      judge_breaker ? &breakers_.for_key(spec.protocol) : nullptr;
+  switch (response.outcome) {
+    case JobOutcome::kTruncated:
+      metrics_.add(ids_.truncated);
+      [[fallthrough]];
+    case JobOutcome::kDone:
+      if (breaker != nullptr) breaker->record_success(now);
       metrics_.add(ids_.completed);
-      if (capped) metrics_.add(ids_.truncated);
       break;
-    case AttemptKind::kTimeout:
-      response.outcome = JobOutcome::kTimeout;
-      response.error = ctx.abandon.load(std::memory_order_relaxed)
-                           ? "watchdog_abandoned"
-                           : "deadline expired";
-      breaker.record_timeout(finish);
+    case JobOutcome::kTimeout:
+      if (breaker != nullptr) breaker->record_timeout(now);
       metrics_.add(ids_.timeouts);
       break;
-    case AttemptKind::kFailed:
-      response.outcome = JobOutcome::kFailed;
-      response.error = attempt.error;
-      breaker.record_failure(finish);
-      metrics_.add(ids_.failed);
-      break;
-    case AttemptKind::kShutdown:
-      // Shutdown says nothing about the protocol — no breaker record.
-      response.outcome = JobOutcome::kFailed;
-      response.error = "shutdown";
+    default:
+      if (breaker != nullptr) breaker->record_failure(now);
       metrics_.add(ids_.failed);
       break;
   }
   // Per-family outcome counter (register-or-lookup, same pattern as the
-  // divergence counter above) — what popbean-top's family table reads.
-  metrics_.add(metrics_.counter("serve.family." + job.spec.protocol + "." +
+  // divergence counter) — what popbean-top's family table reads.
+  metrics_.add(metrics_.counter("serve.family." + spec.protocol + "." +
                                 to_string(response.outcome)));
   update_gauges_locked();
-  return response;
 }
 
 void JobService::sleep_interruptible(Clock::duration duration,
@@ -901,15 +820,7 @@ bool JobService::drain(std::chrono::milliseconds budget) {
       // still-queued job gets its failed("shutdown") response now.
       cancel_.store(true, std::memory_order_relaxed);
       while (std::optional<QueuedJob> job = queue_.pop()) {
-        metrics_.add(ids_.failed);
-        trace_job_end(job->spec.trace_id, "failed", "shutdown");
-        JobResponse response;
-        response.id = job->spec.id;
-        response.outcome = JobOutcome::kFailed;
-        response.error = "shutdown";
-        response.trace_id = job->spec.trace_id;
-        response.origin = job->spec.origin;
-        to_emit.push_back(std::move(response));
+        drop_locked(*job, "shutdown", to_emit, JobOutcome::kFailed);
       }
       // Running jobs observe cancel_ within a poll interval (or the
       // watchdog grace); the backstop below only trips on a genuine bug.

@@ -1,18 +1,20 @@
 // JobService: the resilient in-process job service (DESIGN.md §9).
 //
-// One object ties the resilience pieces together around a ThreadPool:
+// One object ties the resilience pieces together around a ThreadPool.
+// submit() admits into a bounded priority AdmissionQueue (shed policy);
+// the pump keeps ≤ thread_count jobs in flight, so priority is decided at
+// pop time. Each popped job then runs four stages, one owner per concern:
 //
-//   submit() ──▶ AdmissionQueue (bounded, priority, shed policy)
-//                    │ pump: ≤ thread_count jobs in flight, so priority
-//                    ▼        is decided at pop time, not submit time
-//                CircuitBreaker per protocol (fast-fail `circuit_open`)
-//                    ▼
-//                attempt loop: run replicates, bounded retries under
-//                decorrelated-jitter backoff, per-job Deadline polled
-//                cooperatively; a watchdog thread abandons runs that
-//                blow deadline + grace without polling (wedged worker)
-//                    ▼
-//                exactly one terminal JobResponse via the response sink
+//   gate          queue-expired → `timeout`; open breaker → `circuit_open`
+//   plan          ladder + quarantine snapshot → one AttemptPlan per job
+//                 (gate and plan share one lock acquisition)
+//   attempt loop  chaos, replicas + vote, attempt/vote trace; bounded
+//                 retries under decorrelated-jitter backoff, Deadline polled
+//                 cooperatively, a watchdog abandons wedged workers
+//   settle        breaker record (executed jobs only), outcome counters and
+//                 the per-family counter, for executed and vetoed jobs alike
+//
+// Every admitted job gets exactly one terminal JobResponse via the sink.
 //
 // Overload is answered by a three-rung graceful-degradation ladder driven
 // by queue occupancy with hysteresis (high/low watermarks). Voting rides
@@ -82,6 +84,10 @@ struct ChaosContext {
 
 // Called on worker threads; must be thread-safe and cheap.
 using ChaosHook = std::function<ChaosAction(const ChaosContext&)>;
+
+// One attempt's inputs and result; defined in service.cpp.
+struct AttemptPlan;
+struct Attempt;
 
 struct DegradationConfig {
   double high_watermark = 0.75;  // occupancy that arms the ladder
@@ -202,7 +208,6 @@ class JobService {
   struct ActiveJob {
     Deadline deadline;
     std::atomic<bool> abandon{false};
-    std::string id;
     std::uint64_t trace_id = 0;  // for the watchdog's abandon instant
   };
 
@@ -219,13 +224,9 @@ class JobService {
   static MetricIds register_metrics(obs::MetricsRegistry& registry);
 
   void emit(JobResponse response);
-  JobResponse overloaded_response(std::string id, std::string reason,
-                                  std::uint64_t trace_id,
-                                  std::uint64_t origin) const;
   // Closes the job's async span tree with its terminal outcome; every
-  // admitted job passes through exactly one call (run_job, shed, eviction,
-  // or drain flush) — the trace-side face of the exactly-one-response
-  // contract.
+  // admitted job passes through exactly one call (run_job or drop_locked) —
+  // the trace-side face of the exactly-one-response contract.
   void trace_job_end(std::uint64_t trace_id, const char* outcome,
                      const char* reason = nullptr);
   std::optional<std::string> submit_internal(JobSpec spec,
@@ -233,12 +234,27 @@ class JobService {
   // Pops queued jobs into the pool while workers are available, so the
   // admission queue (not the pool's FIFO) decides execution order.
   void pump_locked();
-  // Re-evaluates the degradation ladder; returns jobs shed by rung 3
-  // (responses must be emitted by the caller after unlocking).
-  std::vector<QueuedJob> update_overload_locked(Clock::time_point now);
+  // Answers a queued job that will never run (shed: `overloaded`; drain
+  // flush: `failed`); the caller emits `to_emit` after unlocking.
+  void drop_locked(const QueuedJob& job, const char* reason,
+                   std::vector<JobResponse>& to_emit,
+                   JobOutcome outcome = JobOutcome::kOverloaded);
+  // Re-evaluates the degradation ladder; rung 3 sheds through drop_locked.
+  void update_overload_locked(Clock::time_point now,
+                              std::vector<JobResponse>& to_emit);
   void update_gauges_locked();
   void run_job(const QueuedJob& job, ActiveJob& ctx);
   JobResponse execute(const QueuedJob& job, ActiveJob& ctx);
+  bool gate_locked(const QueuedJob& job, Clock::time_point now,
+                   JobResponse& response);
+  AttemptPlan plan_locked(const QueuedJob& job, Clock::time_point now,
+                          JobResponse& response);
+  Attempt attempt_loop(const QueuedJob& job, const ActiveJob& ctx,
+                       AttemptPlan& plan, JobResponse& response);
+  void record_vote(const JobSpec& spec, const AttemptPlan& plan,
+                   const Attempt& attempt);
+  void settle_locked(const JobSpec& spec, const JobResponse& response,
+                     bool judge_breaker, Clock::time_point now);
   void sleep_interruptible(Clock::duration duration, const ActiveJob& ctx);
   void watchdog_loop();
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 
 namespace popbean::serve {
@@ -21,6 +22,20 @@ QueuedJob job(std::string id, JobPriority priority = JobPriority::kNormal,
   q.spec.client = std::move(client);
   q.deadline = deadline;
   return q;
+}
+
+TEST(AdmissionTest, ShedPolicyNamesRoundTrip) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kRejectNewest, ShedPolicy::kDeadlineAware,
+        ShedPolicy::kClientQuota}) {
+    EXPECT_EQ(parse_shed_policy(to_string(policy)), policy);
+  }
+  try {
+    parse_shed_policy("fifo");
+    ADD_FAILURE() << "unknown policy accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "flag --shed: unknown policy \"fifo\"");
+  }
 }
 
 TEST(AdmissionTest, PopServesPriorityThenFifo) {

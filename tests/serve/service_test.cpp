@@ -226,6 +226,54 @@ TEST(ServiceTest, DeadlineExpiredInQueueIsATimeoutTheBreakerNeverSees) {
   EXPECT_EQ(service.health().timeouts, 1u);
 }
 
+TEST(ServiceTest, FamilyCountersCoverVetoedAndQueueExpiredJobs) {
+  ServiceConfig config = base_config(1);
+  config.max_retries = 0;
+  config.breaker.failure_threshold = 1;
+  config.breaker.cooldown = 60'000ms;
+  config.chaos_slow = 400ms;
+  config.chaos = [](const ChaosContext& ctx) {
+    if (ctx.spec.id == "bad") return ChaosAction::kFail;
+    return ctx.spec.id == "wedge" ? ChaosAction::kSlow : ChaosAction::kNone;
+  };
+  Collector collector;
+  JobService service(config, [&](const JobResponse& r) { collector(r); });
+  // One failure opens the four-state breaker; the next four-state job is
+  // vetoed.
+  EXPECT_TRUE(service.submit(quick_job("bad")));
+  EXPECT_EQ(collector.await("bad").error, "chaos_fail");
+  EXPECT_TRUE(service.submit(quick_job("blocked")));
+  EXPECT_EQ(collector.await("blocked").error, "circuit_open");
+  // A three-state wedge holds the only worker while a queued job expires.
+  JobSpec wedge = quick_job("wedge");
+  wedge.protocol = "three-state";
+  JobSpec rushed = quick_job("rushed");
+  rushed.protocol = "three-state";
+  rushed.deadline = 50ms;
+  EXPECT_TRUE(service.submit(wedge));
+  EXPECT_TRUE(service.submit(rushed));
+  EXPECT_EQ(collector.await("rushed").error, "deadline expired in queue");
+  EXPECT_EQ(collector.await("wedge").outcome, JobOutcome::kDone);
+  EXPECT_TRUE(service.drain(20'000ms));
+
+  std::uint64_t family_total = 0;
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] : service.metrics().snapshot().counters) {
+    counters[name] = value;
+    if (name.rfind("serve.family.", 0) == 0) family_total += value;
+  }
+  EXPECT_EQ(family_total, counters["serve.completed"] +
+                              counters["serve.failed"] +
+                              counters["serve.timeouts"]);
+  EXPECT_EQ(counters["serve.family.four-state.failed"], 2u);
+  EXPECT_EQ(counters["serve.family.three-state.timeout"], 1u);
+  // Neither the veto nor the queue expiry reached a breaker: three-state
+  // stays closed and four-state opened exactly once.
+  EXPECT_EQ(service.breaker_state("three-state"),
+            CircuitBreaker::State::kClosed);
+  EXPECT_EQ(service.total_breaker_opens(), 1u);
+}
+
 TEST(ServiceTest, WatchdogAbandonsAWedgedWorkerPastDeadlinePlusGrace) {
   ServiceConfig config = base_config(1);
   config.stop_check_interval = 1;    // observe the abandon flag promptly

@@ -20,6 +20,7 @@
 #include "obs/prom.hpp"
 #include "obs/slow_log.hpp"
 #include "obs/trace.hpp"
+#include "serve/replicate.hpp"
 #include "serve/router.hpp"
 #include "util/json_parse.hpp"
 
@@ -184,6 +185,141 @@ TEST(TracePropagationTest, EveryAdmittedJobHasExactlyOneCompleteSpanTree) {
     EXPECT_EQ(trace_ids.count(entry.trace_id), 1u) << entry.job_id;
   }
   EXPECT_GE(slow_log.entries().size(), 1u);
+}
+
+// One event of a job's async tree: a span (args from its 'b' half) or an
+// instant.
+struct TreeEvent {
+  std::string name;
+  std::map<std::string, double> args;
+  std::map<std::string, std::string> sargs;
+};
+
+// The job's spans and instants, excluding the root "job" span, in the order
+// they were recorded. Every span's 'e' half (and every instant) is stamped
+// with the clock at record time, so in the timestamp-sorted document those
+// halves appear in record order; each is paired with the same-named 'b'
+// half of matching rank for its args.
+std::vector<TreeEvent> job_tree(const obs::TraceCollector& trace,
+                                std::uint64_t trace_id) {
+  std::ostringstream os;
+  trace.write_chrome_trace(os);
+  const JsonValue doc = JsonValue::parse(os.str());
+  const JsonValue& events = *doc.find("traceEvents");
+  const std::string hex = obs::trace_id_hex(trace_id);
+  std::map<std::string, std::vector<TreeEvent>> begins;
+  std::vector<std::pair<std::string, TreeEvent>> closers;  // ph 'e' or 'n'
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const JsonValue& event = events.at(i);
+    const JsonValue* id = event.find("id");
+    if (id == nullptr || id->as_string() != hex) continue;
+    TreeEvent tree_event;
+    tree_event.name = event.find("name")->as_string();
+    if (tree_event.name == "job") continue;
+    if (const JsonValue* args = event.find("args")) {
+      for (const auto& [key, value] : args->members()) {
+        if (value.is_number()) tree_event.args[key] = value.as_double();
+        if (value.is_string()) tree_event.sargs[key] = value.as_string();
+      }
+    }
+    const std::string& phase = event.find("ph")->as_string();
+    if (phase == "b") {
+      begins[tree_event.name].push_back(std::move(tree_event));
+    } else {
+      closers.emplace_back(phase, std::move(tree_event));
+    }
+  }
+  std::vector<TreeEvent> tree;
+  std::map<std::string, std::size_t> rank;
+  for (auto& [phase, closer] : closers) {
+    if (phase == "n") {
+      tree.push_back(std::move(closer));
+      continue;
+    }
+    const std::vector<TreeEvent>& named = begins[closer.name];
+    const std::size_t r = rank[closer.name]++;
+    EXPECT_LT(r, named.size()) << closer.name << ": 'e' without a 'b'";
+    if (r < named.size()) tree.push_back(named[r]);
+  }
+  return tree;
+}
+
+// Pins the per-job span tree the perfbench serve workloads read their
+// replica and vote timings from: a k = 3 voted job whose first attempt
+// chaos-fails and whose retry succeeds, plus a job its family's open
+// breaker vetoes.
+TEST(TracePropagationTest, VotedRetriedJobHasThePinnedSpanTree) {
+  obs::TraceCollector trace;
+  Collector collector;
+  ServiceConfig config;
+  config.threads = 1;
+  config.backoff = BackoffPolicy{1ms, 4ms};
+  config.drain_deadline = 20'000ms;
+  config.degradation.escalate_after = 10'000ms;
+  config.trace = &trace;
+  config.vote_replicas = 3;
+  config.max_retries = 1;
+  config.breaker.failure_threshold = 1;
+  config.breaker.cooldown = 60'000ms;
+  config.chaos = [](const ChaosContext& ctx) {
+    if (ctx.spec.id == "bad") return ChaosAction::kFail;
+    return ctx.spec.id == "voted" && ctx.attempt == 0 ? ChaosAction::kFail
+                                                      : ChaosAction::kNone;
+  };
+  JobService service(config, [&](const JobResponse& r) { collector(r); });
+  ASSERT_TRUE(service.submit(quick_job("voted")));
+  ASSERT_TRUE(service.submit(quick_job("bad", "three-state")));
+  ASSERT_TRUE(service.submit(quick_job("blocked", "three-state")));
+  ASSERT_TRUE(service.drain(20'000ms));
+
+  std::map<std::string, JobResponse> by_id;
+  for (const JobResponse& response : collector.all()) {
+    by_id[response.id] = response;
+  }
+  ASSERT_EQ(by_id.size(), 3u);
+  const JobResponse& voted = by_id.at("voted");
+  EXPECT_EQ(voted.outcome, JobOutcome::kDone);
+  EXPECT_EQ(voted.attempts, 2u);
+  EXPECT_TRUE(voted.voted);
+  EXPECT_EQ(voted.replicas_used, 3u);
+  EXPECT_EQ(by_id.at("blocked").error, "circuit_open");
+
+  const std::vector<TreeEvent> tree = job_tree(trace, voted.trace_id);
+  std::vector<std::string> names;
+  for (const TreeEvent& event : tree) names.push_back(event.name);
+  ASSERT_EQ(names, (std::vector<std::string>{"queue", "attempt", "backoff",
+                                             "replica", "replica", "replica",
+                                             "attempt", "vote"}));
+  EXPECT_TRUE(tree[0].args.empty());
+  EXPECT_EQ(tree[1].args, (std::map<std::string, double>{{"attempt", 0.0},
+                                                         {"replicas", 3.0}}));
+  EXPECT_EQ(tree[1].sargs.at("kind"), "failed");
+  EXPECT_EQ(tree[2].args, (std::map<std::string, double>{{"attempt", 0.0}}));
+  for (std::uint32_t j = 0; j < 3; ++j) {
+    const TreeEvent& replica = tree[3 + j];
+    EXPECT_EQ(replica.args,
+              (std::map<std::string, double>{{"replica", double(j)},
+                                             {"attempt", 1.0},
+                                             {"corrupt", 0.0},
+                                             {"interrupted", 0.0}}));
+    EXPECT_EQ(replica.sargs.at("stream0"),
+              obs::trace_id_hex(replica_stream(1, 0, j)));
+  }
+  EXPECT_EQ(tree[6].args, (std::map<std::string, double>{{"attempt", 1.0},
+                                                         {"replicas", 3.0}}));
+  EXPECT_EQ(tree[6].sargs.at("kind"), "ok");
+  EXPECT_EQ(tree[7].args, (std::map<std::string, double>{{"replicas", 3.0},
+                                                         {"divergent", 0.0},
+                                                         {"no_majority", 0.0}}));
+
+  // The vetoed job: its queue span, then one bare circuit_open instant.
+  const std::vector<TreeEvent> blocked =
+      job_tree(trace, by_id.at("blocked").trace_id);
+  ASSERT_EQ(blocked.size(), 2u);
+  EXPECT_EQ(blocked[0].name, "queue");
+  EXPECT_EQ(blocked[1].name, "circuit_open");
+  EXPECT_TRUE(blocked[1].args.empty());
+  EXPECT_TRUE(blocked[1].sargs.empty());
 }
 
 TEST(TracePropagationTest, RejectionsGetInstantsNotTrees) {

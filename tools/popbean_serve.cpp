@@ -137,13 +137,6 @@ extern "C" void handle_dump_signal(int) {
   g_dump_requested.store(true, std::memory_order_relaxed);
 }
 
-ShedPolicy parse_shed_policy(const std::string& text) {
-  if (text == "reject-newest") return ShedPolicy::kRejectNewest;
-  if (text == "deadline-aware") return ShedPolicy::kDeadlineAware;
-  if (text == "client-quota") return ShedPolicy::kClientQuota;
-  throw std::runtime_error("flag --shed: unknown policy \"" + text + "\"");
-}
-
 // Deterministic per-(job, attempt) chaos draw: the same request file with
 // the same --chaos-seed injects the same faults. kCorruptAll is never
 // drawn here — it exists for tests that need a deterministic no-majority.
