@@ -24,7 +24,7 @@ namespace popbean {
 
 enum class EngineKind {
   kAgent,  // explicit agent array, O(1)/interaction
-  kCount,  // Fenwick-sampled counts, O(log s)/interaction
+  kCount,  // block-sum-tree-sampled counts, O(log s)/interaction
   kSkip,   // jump-chain (null-interaction skipping), O(s)/productive step
   kAuto,   // kSkip when the state space is small enough, else kCount
 };

@@ -5,9 +5,9 @@
 // applies each interaction; a pair sampler picks the next interacting
 // ordered pair of states and keeps its own index of the counts in sync.
 //
-// CountEngine samples with a Fenwick tree: the initiator state with
-// probability c_i / n, the responder state from the remaining n − 1 agents —
-// O(log s) per interaction. This is the engine of choice when the state count
+// CountEngine samples by prefix search over a 16-ary tree of block sums: the
+// initiator state with probability c_i / n, the responder state from the
+// remaining n − 1 agents — O(log s) per interaction. This is the engine of choice when the state count
 // s is large (the paper's Figure 4 uses s up to 16340 and the "n-state AVC"
 // of Figure 3 uses s ≈ n, where an s × s reaction table would not fit in
 // memory). SkipEngine (skip_engine.hpp) swaps in a jump-chain sampler.
@@ -16,13 +16,13 @@
 #include <cstdint>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "population/configuration.hpp"
 #include "population/engine_core.hpp"
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
-#include "util/fenwick.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -129,45 +129,105 @@ class CompleteGraphEngine
   Sampler sampler_;
 };
 
-// Uniformly random ordered pair of distinct agents by Fenwick-tree prefix
-// search over the counts.
-class FenwickSampler {
+// Uniformly random ordered pair of distinct agents by prefix search over the
+// counts. The index is a tree of block sums whose leaves are the engine's
+// counts themselves: level 0 holds the sums of blocks of kFanout counts,
+// each level above the sums of kFanout entries of the one below, up to the
+// single total. Every level is zero-padded to whole blocks. Both searches
+// descend together and end in a scan of their leaf blocks.
+//
+// The initiator is agent i = below(n) and the responder agent j = below(n − 1)
+// among the other n − 1, renumbered past i, both in state order. That maps
+// each pair of draws to the same states as removing one agent of the
+// initiator's state and searching the remaining n − 1.
+class BlockSumSampler {
  public:
   static constexpr std::string_view kSnapshotKind = "engine/count";
+  static constexpr std::size_t kFanout = 16;
 
   template <ProtocolLike P>
-  FenwickSampler(const P&, const Counts& counts) : tree_(counts) {}
+  BlockSumSampler(const P&, const Counts& counts) : BlockSumSampler(counts) {}
+  explicit BlockSumSampler(const Counts& counts) { rebuild(counts); }
 
   template <ProtocolLike P>
-  bool draw(const P& protocol, const Counts&, std::uint64_t n,
+  bool draw(const P& protocol, const Counts& counts, std::uint64_t n,
             Xoshiro256ss& rng, PairDraw& out) {
-    const auto a = static_cast<State>(tree_.find_by_prefix(rng.below(n)));
-    // Sample the responder from the other n − 1 agents: exclude one agent of
-    // state a, draw, then restore.
-    tree_.add(a, -1);
-    const auto b = static_cast<State>(tree_.find_by_prefix(rng.below(n - 1)));
-    tree_.add(a, +1);
+    const std::uint64_t i = rng.below(n);
+    std::uint64_t j = rng.below(n - 1);
+    j += j >= i ? 1 : 0;
+    const auto [a, b] = find_pair(counts, i, j);
     out.initiator = a;
     out.responder = b;
     out.transition = protocol.apply(a, b);
     return true;
   }
 
-  void add(State q, std::int64_t delta) { tree_.add(q, delta); }
+  // The states of agents u and v (each < total()) in state order.
+  std::pair<State, State> find_pair(const Counts& counts, std::uint64_t u,
+                                    std::uint64_t v) const {
+    std::size_t pu = 0;
+    std::size_t pv = 0;
+    for (std::size_t level = begin_.size() - 1; level-- > 0;) {
+      const std::uint64_t* sums = sums_.data() + begin_[level];
+      pu = pu * kFanout + scan(sums + pu * kFanout, u);
+      pv = pv * kFanout + scan(sums + pv * kFanout, v);
+    }
+    pu = pu * kFanout + scan(counts.data() + pu * kFanout, u);
+    pv = pv * kFanout + scan(counts.data() + pv * kFanout, v);
+    POPBEAN_DCHECK(pu < counts.size() && pv < counts.size());
+    return {static_cast<State>(pu), static_cast<State>(pv)};
+  }
+
+  // The leaf counts[q] has already changed by delta.
+  void add(State q, std::int64_t delta) {
+    std::size_t k = q;
+    for (const std::size_t begin : begin_) {
+      k /= kFanout;
+      sums_[begin + k] += static_cast<std::uint64_t>(delta);
+    }
+  }
+
+  std::uint64_t total() const noexcept { return sums_[begin_.back()]; }
 
   struct Saved {};
   void save_state(BinaryWriter&) const {}
   static Saved read_state(BinaryReader&) { return {}; }
-  void restore(const Counts& counts, Saved) { tree_ = FenwickTree(counts); }
+  void restore(const Counts& counts, Saved) { rebuild(counts); }
 
  private:
-  FenwickTree tree_;
+  // Index within the block of the child holding `target`, which becomes the
+  // offset into that child. Stops before the block's end: target < its sum.
+  static std::size_t scan(const std::uint64_t* block, std::uint64_t& target) {
+    std::size_t k = 0;
+    while (block[k] <= target) target -= block[k++];
+    return k;
+  }
+
+  void rebuild(const Counts& counts) {
+    begin_.clear();
+    std::size_t size = counts.size();
+    std::size_t end = 0;
+    do {
+      size = (size + kFanout - 1) / kFanout;
+      begin_.push_back(end);
+      end += (size + kFanout - 1) / kFanout * kFanout;
+    } while (size > 1);
+    sums_.assign(end, 0);
+    for (std::size_t q = 0; q < counts.size(); ++q) {
+      if (counts[q] != 0) {
+        add(static_cast<State>(q), static_cast<std::int64_t>(counts[q]));
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> sums_;  // the levels, bottom up
+  std::vector<std::size_t> begin_;   // offset of each level in sums_
 };
 
 template <ProtocolLike P>
-class CountEngine : public CompleteGraphEngine<P, FenwickSampler> {
+class CountEngine : public CompleteGraphEngine<P, BlockSumSampler> {
  public:
-  using CompleteGraphEngine<P, FenwickSampler>::CompleteGraphEngine;
+  using CompleteGraphEngine<P, BlockSumSampler>::CompleteGraphEngine;
 };
 
 }  // namespace popbean

@@ -5,7 +5,7 @@
 // The engines differ only in how they hold the configuration and pick the
 // next interacting pair: AgentEngine keeps an agent array on an interaction
 // graph; CompleteGraphEngine keeps per-state counts and delegates the pair
-// draw to a sampler (Fenwick tree for CountEngine, jump chain for
+// draw to a sampler (block-sum tree for CountEngine, jump chain for
 // SkipEngine). EngineCore is a CRTP base, so none of this costs a virtual
 // call on the interaction path.
 #pragma once

@@ -1,6 +1,7 @@
 #include "serve/codec.hpp"
 
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "obs/context.hpp"
@@ -50,21 +51,20 @@ bool require_bool(const JsonValue& v, const std::string& name) {
   return v.as_bool();
 }
 
-bool outcome_from_string(const std::string& text, JobOutcome* out) {
-  if (text == "done") *out = JobOutcome::kDone;
-  else if (text == "truncated") *out = JobOutcome::kTruncated;
-  else if (text == "timeout") *out = JobOutcome::kTimeout;
-  else if (text == "failed") *out = JobOutcome::kFailed;
-  else if (text == "overloaded") *out = JobOutcome::kOverloaded;
-  else if (text == "invalid") *out = JobOutcome::kInvalid;
-  else return false;
-  return true;
+// The enumerator among the first `count` whose to_string name is `text`.
+template <typename Enum>
+std::optional<Enum> from_name(const std::string& text, int count) {
+  for (int i = 0; i < count; ++i) {
+    const auto value = static_cast<Enum>(i);
+    if (text == to_string(value)) return value;
+  }
+  return std::nullopt;
 }
 
 JobPriority parse_priority(const std::string& text) {
-  if (text == "low") return JobPriority::kLow;
-  if (text == "normal") return JobPriority::kNormal;
-  if (text == "high") return JobPriority::kHigh;
+  if (const auto priority = from_name<JobPriority>(text, kNumPriorities)) {
+    return *priority;
+  }
   bad_field("priority", "expected \"low\", \"normal\", or \"high\"");
 }
 
@@ -240,9 +240,11 @@ std::optional<JobResponse> parse_job_response(std::string_view line,
         saw_id = true;
       } else if (key == "outcome") {
         const std::string& text = require_string(value, key);
-        if (!outcome_from_string(text, &response.outcome)) {
+        const auto outcome = from_name<JobOutcome>(text, kNumOutcomes);
+        if (!outcome.has_value()) {
           bad_field(key, "unknown outcome \"" + text + "\"");
         }
+        response.outcome = *outcome;
         saw_outcome = true;
       } else if (key == "error") {
         response.error = require_string(value, key);

@@ -47,8 +47,6 @@ class OverloadHysteresis {
   }
 
   bool overloaded() const noexcept { return overloaded_; }
-  double enter_threshold() const noexcept { return enter_; }
-  double exit_threshold() const noexcept { return exit_; }
 
  private:
   double enter_;

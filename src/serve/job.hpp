@@ -79,6 +79,7 @@ enum class JobOutcome {
   kOverloaded,
   kInvalid,
 };
+inline constexpr int kNumOutcomes = 6;
 
 const char* to_string(JobOutcome outcome);
 

@@ -447,7 +447,12 @@ void JobService::pump_locked() {
 void JobService::drop_locked(const QueuedJob& job, const char* reason,
                              std::vector<JobResponse>& to_emit,
                              JobOutcome outcome) {
-  metrics_.add(outcome == JobOutcome::kOverloaded ? ids_.shed : ids_.failed);
+  if (outcome == JobOutcome::kOverloaded) {
+    metrics_.add(ids_.shed);
+  } else {
+    metrics_.add(ids_.failed);
+    count_family_locked(job.spec, outcome);
+  }
   trace_job_end(job.spec.trace_id, to_string(outcome), reason);
   to_emit.push_back(response_for(job.spec, outcome, reason));
 }
@@ -779,11 +784,15 @@ void JobService::settle_locked(const JobSpec& spec,
       metrics_.add(ids_.failed);
       break;
   }
-  // Per-family outcome counter (register-or-lookup, same pattern as the
-  // divergence counter) — what popbean-top's family table reads.
-  metrics_.add(metrics_.counter("serve.family." + spec.protocol + "." +
-                                to_string(response.outcome)));
+  count_family_locked(spec, response.outcome);
   update_gauges_locked();
+}
+
+void JobService::count_family_locked(const JobSpec& spec,
+                                     JobOutcome outcome) {
+  // Register-or-lookup, same pattern as the divergence counter.
+  metrics_.add(metrics_.counter("serve.family." + spec.protocol + "." +
+                                to_string(outcome)));
 }
 
 void JobService::sleep_interruptible(Clock::duration duration,

@@ -255,6 +255,10 @@ class JobService {
                    const Attempt& attempt);
   void settle_locked(const JobSpec& spec, const JobResponse& response,
                      bool judge_breaker, Clock::time_point now);
+  // Per-family outcome counter — what popbean-top's family table reads.
+  // Every done, truncated, failed and timeout response passes through it;
+  // shed (`overloaded`) jobs do not.
+  void count_family_locked(const JobSpec& spec, JobOutcome outcome);
   void sleep_interruptible(Clock::duration duration, const ActiveJob& ctx);
   void watchdog_loop();
 

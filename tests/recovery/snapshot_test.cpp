@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "population/agent_engine.hpp"
 #include "population/configuration.hpp"
 #include "population/count_engine.hpp"
+#include "population/run.hpp"
 #include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "protocols/tabulated.hpp"
@@ -76,6 +78,52 @@ TEST(SnapshotTest, CountEngineRoundTripsBitIdentically) {
         return CountEngine<avc::AvcProtocol>(protocol,
                                              avc_initial(protocol, 200));
       });
+}
+
+// A mid-run CountEngine snapshot file written by the Fenwick-tree sampler
+// the count engine used before its block-sum index: AvcProtocol(15, 1) has
+// 18 states (a full and a partial leaf block), n = 2000, step rng seeded
+// with 2024, 6000 steps in. The index is derived state, so the file
+// restores, re-saves to the same bytes and finishes the run exactly as its
+// writer did.
+constexpr std::string_view kFenwickSamplerSnapshotHex =
+    "5042534e020000000c00000000000000656e67696e652f636f756e74e6000000"
+    "000000001e0000000000000064656c74612f733d31382f66703d366466376462"
+    "36343063353738643532aed20f83ce107efb7ff5e86493004f65c6951503edcb"
+    "79a839493a6b51a832d470170000000000001200000000000000030000000000"
+    "0000010000000000000004000000000000001000000000000000190000000000"
+    "00003e000000000000009d00000000000000ed00000000000000760000000000"
+    "0000c2000000000000005e010000000000007901000000000000ff0000000000"
+    "0000740000000000000038000000000000000f00000000000000040000000000"
+    "00000a000000000000007bc0a12d2dd4ef6b";
+
+std::string from_hex(std::string_view hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(SnapshotTest, CountEngineFileFromTheFenwickSamplerFinishesIdentically) {
+  const avc::AvcProtocol protocol(15, 1);
+  const std::string file = from_hex(kFenwickSamplerSnapshotHex);
+  CountEngine<avc::AvcProtocol> engine(protocol, avc_initial(protocol, 2000));
+  Xoshiro256ss rng(1);
+  recovery::restore_engine_bytes(recovery::unpack_blob(file, "fixture").payload,
+                                 engine, rng);
+  EXPECT_EQ(engine.steps(), 6000u);
+  EXPECT_EQ(recovery::pack_blob(CountEngine<avc::AvcProtocol>::kSnapshotKind,
+                                recovery::snapshot_engine_bytes(engine, rng)),
+            file);
+
+  const RunResult result = run_to_convergence(engine, rng);
+  ASSERT_TRUE(result.converged());
+  EXPECT_EQ(result.interactions, 23497u);
+  EXPECT_EQ(result.decided, 1);
+  EXPECT_EQ(engine.counts(), (Counts{0, 0, 0, 0, 0, 0, 0, 0, 0, 760, 372,
+                                     856, 12, 0, 0, 0, 0, 0}));
 }
 
 TEST(SnapshotTest, AgentEngineRoundTripsBitIdentically) {

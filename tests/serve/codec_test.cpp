@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -203,6 +204,36 @@ TEST(CodecTest, ResponseLineIsSingleLineAndParsesBack) {
   EXPECT_EQ(result->find("correct")->as_u64(), 2u);
   EXPECT_DOUBLE_EQ(result->find("mean_parallel_time")->as_double(), 12.5);
   EXPECT_EQ(v.find("error"), nullptr);  // omitted when empty
+}
+
+TEST(CodecTest, OutcomeAndPriorityNamesRoundTrip) {
+  for (int i = 0; i < kNumOutcomes; ++i) {
+    JobResponse response;
+    response.id = "x";
+    response.outcome = static_cast<JobOutcome>(i);
+    const std::optional<JobResponse> back =
+        parse_job_response(job_response_line(response));
+    ASSERT_TRUE(back.has_value()) << to_string(response.outcome);
+    EXPECT_EQ(back->outcome, response.outcome) << to_string(response.outcome);
+  }
+  for (int i = 0; i < kNumPriorities; ++i) {
+    JobSpec spec;
+    spec.id = "p";
+    spec.priority = static_cast<JobPriority>(i);
+    EXPECT_EQ(parse_ok(job_request_line(spec)).priority, spec.priority)
+        << to_string(spec.priority);
+  }
+
+  // Unknown names keep their error texts.
+  EXPECT_NE(parse_err(R"({"v": 1, "id": "a", "priority": "urgent"})")
+                .error.find(R"(expected "low", "normal", or "high")"),
+            std::string::npos);
+  std::string error;
+  EXPECT_FALSE(parse_job_response(R"({"v": 2, "id": "a", "outcome": "won"})",
+                                  &error)
+                   .has_value());
+  EXPECT_NE(error.find(R"(unknown outcome "won")"), std::string::npos)
+      << error;
 }
 
 TEST(CodecTest, ResponseCarriesVoteLabels) {

@@ -395,6 +395,40 @@ TEST(ServiceTest, DrainPastBudgetFlushesQueuedJobsAndCancelsTheWedge) {
   EXPECT_EQ(service.inflight(), 0u);
 }
 
+TEST(ServiceTest, UncleanDrainCountsFlushedJobsInTheirFamily) {
+  ServiceConfig config = base_config(1);
+  config.stop_check_interval = 1;
+  config.chaos_slow = 600'000ms;  // never lifts on its own
+  config.chaos = [](const ChaosContext& ctx) {
+    return ctx.spec.id == "wedge" ? ChaosAction::kSlow : ChaosAction::kNone;
+  };
+  Collector collector;
+  JobService service(config, [&](const JobResponse& r) { collector(r); });
+  EXPECT_TRUE(service.submit(quick_job("wedge")));  // holds the only worker
+  JobSpec queued_three = quick_job("queued-three");
+  queued_three.protocol = "three-state";
+  EXPECT_TRUE(service.submit(queued_three));
+  EXPECT_TRUE(service.submit(quick_job("queued-four")));
+
+  // A zero budget is spent on arrival: the wedge is cancelled and both
+  // queued jobs are flushed as failed("shutdown").
+  EXPECT_FALSE(service.drain(0ms));
+  EXPECT_EQ(collector.await("queued-three").error, "shutdown");
+  EXPECT_EQ(collector.await("queued-four").error, "shutdown");
+
+  std::uint64_t family_total = 0;
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] : service.metrics().snapshot().counters) {
+    counters[name] = value;
+    if (name.rfind("serve.family.", 0) == 0) family_total += value;
+  }
+  EXPECT_EQ(family_total, counters["serve.completed"] +
+                              counters["serve.failed"] +
+                              counters["serve.timeouts"]);
+  EXPECT_EQ(counters["serve.family.three-state.failed"], 1u);
+  EXPECT_GE(counters["serve.family.four-state.failed"], 1u);
+}
+
 TEST(ServiceTest, ExternalRegistrySeesTheServiceLifecycle) {
   obs::MetricsRegistry registry;
   Collector collector;
